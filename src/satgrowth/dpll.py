@@ -12,14 +12,22 @@ b_leaves counts branch terminations (contradictions plus a solution leaf),
 the cloud records the (p, alpha, t) phase point of every split node, and
 g_node is the shallowest split whose second branch was entered (the highest
 node reached back by backtracking).
+
+`DpllSolver.solve` runs a compiled port of its search loop
+(`dpll_kernel.c`, built on first use by `native`) that reproduces this
+module's bookkeeping and random draws bit for bit.  The Python loop below is
+the reference: it runs when the kernel cannot be built here and whenever
+`check_invariants` is set.
 """
 
 import hashlib
+import itertools
 import random
+from array import array
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
-from . import cnf
+from . import cnf, native
 from .cnf import Instance
 
 
@@ -43,6 +51,14 @@ class PhasePoint(NamedTuple):
     p: float      # fraction of 3-clauses among undetermined clauses
     alpha: float  # undetermined clauses per undetermined variable
     t: float      # fraction of assigned variables
+
+
+def _phase_point(n_vars: int, n_assigned: int, c2: int, c3: int) -> PhasePoint:
+    total = c2 + c3
+    if total == 0:
+        raise ValueError("phase point undefined without undetermined clauses")
+    return PhasePoint(c3 / total, total / (n_vars - n_assigned),
+                      n_assigned / n_vars)
 
 
 @dataclass
@@ -90,6 +106,10 @@ class DpllSolver:
             for lit in lits:
                 occ[lit].append(ci)
         self.occ = occ
+        # the clauses as the kernel reads them: packed literals and offsets
+        self._flat_lits = array("i", itertools.chain.from_iterable(self.clause_lits))
+        self._clause_start = array("i", itertools.accumulate(
+            map(len, self.clause_lits), initial=0))
         self._track_free = heuristic != GUC
         self.reset(0)
 
@@ -129,14 +149,8 @@ class DpllSolver:
             [cnf.U if v < 0 else (cnf.T if v else cnf.F) for v in self.val])
 
     def phase_point(self) -> PhasePoint:
-        n_assigned = len(self.trail)
-        c2 = len(self.lives[2])
-        c3 = len(self.lives[3])
-        total = c2 + c3
-        if total == 0:
-            raise ValueError("phase point undefined without undetermined clauses")
-        return PhasePoint(c3 / total, total / (self.n - n_assigned),
-                          n_assigned / self.n)
+        return _phase_point(self.n, len(self.trail), len(self.lives[2]),
+                            len(self.lives[3]))
 
     # ------------------------------------------------------- bookkeeping
 
@@ -304,7 +318,16 @@ class DpllSolver:
 
     def solve(self, seed: int, record_cloud: bool = True,
               check_invariants: bool = False) -> SolveStats:
-        """Complete depth-first search; returns instrumented statistics."""
+        """Complete depth-first search; returns instrumented statistics.
+
+        The compiled kernel runs the search unless `check_invariants` asks
+        for the reference loop's per-node check of the live clause vector
+        against cnf.clause_vector, or the kernel cannot be built here.  The
+        kernel leaves this solver's Python-side state untouched.
+        """
+        lib = None if check_invariants else native.load()
+        if lib is not None:
+            return self._solve_compiled(lib, seed, record_cloud)
         self.reset(seed)
         lives = self.lives
         trail = self.trail
@@ -339,9 +362,7 @@ class DpllSolver:
             if not (lives[1] or lives[2] or lives[3]):
                 result = "sat"
                 b_leaves += 1
-                assignment = [v == 1 for v in self.val]
-                if not self._verify(assignment):
-                    raise AssertionError("solver produced a non-satisfying assignment")
+                assignment = self._verified([v == 1 for v in self.val])
                 break
             if check_invariants:
                 ref = cnf.clause_vector(self.instance, self.partial_state())
@@ -360,11 +381,23 @@ class DpllSolver:
                           heuristic=self.heuristic, n_vars=self.n,
                           assignment=assignment)
 
-    def _verify(self, assignment: List[bool]) -> bool:
+    def _solve_compiled(self, lib, seed: int, record_cloud: bool) -> SolveStats:
+        sat, q_splits, b_leaves, g, cloud, values = native.solve(
+            lib, self.n, self._flat_lits, self._clause_start, self.heuristic,
+            _mix_seed(seed), record_cloud)
+        assignment = self._verified([v == 1 for v in values]) if sat else None
+        return SolveStats(result="sat" if sat else "unsat", q_splits=q_splits,
+                          b_leaves=b_leaves,
+                          cloud=[_phase_point(self.n, *pt) for pt in cloud],
+                          g_node=None if g is None else _phase_point(self.n, *g),
+                          seed=seed, heuristic=self.heuristic, n_vars=self.n,
+                          assignment=assignment)
+
+    def _verified(self, assignment: List[bool]) -> List[bool]:
         for lits in self.clause_lits:
             if not any(assignment[lit >> 1] == (lit & 1 == 0) for lit in lits):
-                return False
-        return True
+                raise AssertionError("solver produced a non-satisfying assignment")
+        return assignment
 
 
 def solve(instance: Instance, heuristic: str, seed: int,

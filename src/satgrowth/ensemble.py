@@ -86,10 +86,12 @@ def _run_block(args) -> List[RunRecord]:
 
 def run_ensemble(config: EnsembleConfig) -> List[RunRecord]:
     """One fresh instance and one solve per (N, trial); deterministic under a
-    fixed base seed regardless of the worker count."""
+    fixed base seed regardless of the worker count.  Blocks go to the pool
+    largest N first, so the longest solves do not start last and leave
+    workers idle at the end."""
     workers = config.parallelism or os.cpu_count() or 1
     blocks = []
-    for n in config.n_values:
+    for n in reversed(config.n_values):
         step = max(1, math.ceil(config.trials_per_n / (4 * workers)))
         for t0 in range(0, config.trials_per_n, step):
             blocks.append((config.alpha0, config.heuristic, n, t0,

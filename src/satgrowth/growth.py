@@ -133,7 +133,7 @@ class Controls:
     rtol: float = 1e-11
     atol: float = 1e-13
     shoot_tol: float = 1e-10
-    newton_max_iter: float = 60
+    newton_max_iter: int = 60
     t_step: Optional[float] = None   # marching step; default scales with 1/alpha0
     t_max: float = 0.95
     halt_tol: float = 1e-7
@@ -181,7 +181,7 @@ class _Shooter:
         y0 = [guess[0], guess[1]]
         end = self.integrate(y0, t_target)
         res = abs(end[0]) + abs(end[1])
-        for _ in range(int(self.ctl.newton_max_iter)):
+        for _ in range(self.ctl.newton_max_iter):
             if res < self.ctl.shoot_tol:
                 return y0, end
             eps = 1e-7

@@ -1,0 +1,121 @@
+"""Build-on-first-use loader for the compiled DPLL search kernel.
+
+`dpll_kernel.c` is compiled with the system gcc into a per-user cache
+directory ($XDG_CACHE_HOME/satgrowth, else ~/.cache/satgrowth) under a name
+keyed by a hash of the source and the compile command, and loaded with
+ctypes.  gcc writes a temporary file in the cache directory that is then
+published with os.replace, so processes compiling at the same time never
+load a half-written library.  When no compiler is found, the compile fails
+or the cache is not writable, `load()` returns None after one warning per
+process, and the solver runs its Python loop.
+"""
+
+import ctypes
+import functools
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+import warnings
+from pathlib import Path
+
+SOURCE = Path(__file__).with_name("dpll_kernel.c")
+CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+HEURISTIC_CODES = {"UC": 0, "GUC": 1, "SC1": 2}
+# sg_solve return codes
+_ERRORS = {-1: (MemoryError, "DPLL kernel out of memory"),
+           -2: (AssertionError, "unit clause without a free literal")}
+
+
+def _compiler():
+    """Path of the C compiler, or None."""
+    return shutil.which("gcc")
+
+
+def _cache_dir() -> Path:
+    """Where compiled kernels live; Path.home() raises RuntimeError when
+    there is no home directory."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(Path.home(), ".cache")
+    return Path(base) / "satgrowth"
+
+
+def _build(cc: str) -> Path:
+    """Path of the compiled kernel, compiling it if the cache lacks it."""
+    source = SOURCE.read_bytes()
+    key = hashlib.blake2b(source + repr((os.path.basename(cc),) + CFLAGS).encode(),
+                          digest_size=8).hexdigest()
+    target = _cache_dir() / f"dpll_kernel-{key}.so"
+    if target.exists():
+        return target
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".dpll_kernel-",
+                               suffix=".so")
+    os.close(fd)
+    try:
+        subprocess.run([cc, *CFLAGS, "-o", tmp, str(SOURCE)], check=True,
+                       capture_output=True, text=True, timeout=300)
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+@functools.lru_cache(maxsize=None)
+def load():
+    """The loaded kernel library, or None when it cannot be built here."""
+    cc = _compiler()
+    if cc is None:
+        return _fallback("no C compiler (gcc) found")
+    try:
+        lib = ctypes.CDLL(str(_build(cc)))
+    except subprocess.CalledProcessError as exc:
+        return _fallback(f"compiling {SOURCE.name} failed: {exc.stderr.strip()}")
+    except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
+        return _fallback(f"cannot build or load {SOURCE.name}: {exc}")
+    lib.sg_solve.argtypes = [
+        ctypes.c_int32, ctypes.c_int32, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_int32, ctypes.c_uint64, ctypes.c_int32,
+        ctypes.POINTER(ctypes.c_int64), ctypes.c_char_p,
+        ctypes.POINTER(ctypes.POINTER(ctypes.c_int32))]
+    lib.sg_solve.restype = ctypes.c_int
+    lib.sg_free.argtypes = [ctypes.c_void_p]
+    lib.sg_free.restype = None
+    lib.sg_random.argtypes = [ctypes.c_uint64, ctypes.c_int32,
+                              ctypes.POINTER(ctypes.c_double)]
+    lib.sg_random.restype = None
+    return lib
+
+
+def _fallback(reason: str):
+    warnings.warn(f"satgrowth: using the Python DPLL loop; {reason}",
+                  RuntimeWarning, stacklevel=3)
+    return None
+
+
+def solve(lib, n_vars: int, lits, start, heuristic: str, mixed_seed: int,
+          record_cloud: bool):
+    """One kernel search.  `lits` and `start` are array('i') buffers of the
+    packed literals and the m + 1 clause offsets; returns (sat, q_splits,
+    b_leaves, g, cloud, assignment) with g and the cloud entries as
+    (assigned, C2, C3) triples, g None without a g-node, and assignment the
+    n_vars value bytes of a sat result."""
+    out = (ctypes.c_int64 * 6)()
+    assignment = ctypes.create_string_buffer(n_vars)
+    cloud = ctypes.POINTER(ctypes.c_int32)()
+    rc = lib.sg_solve(n_vars, len(start) - 1, lits.buffer_info()[0],
+                      start.buffer_info()[0], HEURISTIC_CODES[heuristic],
+                      mixed_seed, record_cloud, out, assignment, ctypes.byref(cloud))
+    if rc:
+        exc_type, message = _ERRORS.get(rc, (RuntimeError, f"DPLL kernel returned {rc}"))
+        raise exc_type(message)
+    sat, q_splits, b_leaves, *g = out
+    triples = []
+    if cloud:
+        flat = cloud[:3 * q_splits]
+        lib.sg_free(cloud)
+        triples = [tuple(flat[i:i + 3]) for i in range(0, len(flat), 3)]
+    return (bool(sat), q_splits, b_leaves, tuple(g) if g[0] >= 0 else None,
+            triples, assignment.raw if sat else None)

@@ -1,0 +1,161 @@
+"""Differential tests of the compiled DPLL kernel against the Python loop.
+
+The kernel must reproduce the reference search bit for bit: equal SolveStats
+(result, counters, cloud, g-node, assignment) on every (instance, seed)
+pair.  Without a C compiler the comparison cannot run and the module skips;
+with one, a kernel that fails to build fails the tests.
+"""
+
+import ctypes
+import os
+import random
+import subprocess
+import sys
+import warnings
+
+import pytest
+
+from common import I1, I2, I3
+from satgrowth import dpll, native
+from satgrowth.cnf import generate_random_instance
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    if native._compiler() is None:
+        pytest.skip("no C compiler (gcc) on PATH: the kernel cannot be built")
+    lib = native.load()
+    assert lib is not None, "gcc is present but the DPLL kernel did not build"
+    return lib
+
+
+@pytest.fixture
+def fresh_load(monkeypatch):
+    """native.load() rebuilt from scratch inside the test and again after."""
+    native.load.cache_clear()
+    yield monkeypatch
+    native.load.cache_clear()
+
+
+def _python_solve(solver, seed, monkeypatch, record_cloud=True):
+    with monkeypatch.context() as m:
+        m.setattr(native, "load", lambda: None)
+        return solver.solve(seed, record_cloud=record_cloud)
+
+
+def _assert_same(solver, seeds, monkeypatch, record_cloud=True):
+    for seed in seeds:
+        got = solver.solve(seed, record_cloud=record_cloud)
+        want = _python_solve(solver, seed, monkeypatch, record_cloud)
+        assert got == want, (solver.instance, solver.heuristic, seed)
+
+
+def test_random_stream_matches_python(kernel):
+    # one- and two-word seeds, across several regenerations of the state
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 - 1, dpll._mix_seed(7)):
+        got = (ctypes.c_double * 2000)()
+        kernel.sg_random(seed, len(got), got)
+        rng = random.Random(seed)
+        assert list(got) == [rng.random() for _ in got], seed
+
+
+def test_toy_instances_match(kernel, monkeypatch):
+    # unit clauses (I1) and a tautological pair (I3) included
+    for inst in (I1, I2, I3):
+        for h in dpll.HEURISTICS:
+            _assert_same(dpll.DpllSolver(inst, h), range(100), monkeypatch)
+
+
+def test_random_instances_match(kernel, monkeypatch):
+    # 2+p mixes from easy sat to unsat, N from 3 to 60: 1200 pairs
+    pairs = 0
+    for i in range(400):
+        n = 3 + i % 58
+        n2 = (i * 7) % (n + 1)
+        n3 = int(round((1.0 + (i % 11) * 0.5) * n)) - n2 // 2
+        inst = generate_random_instance(n, n2, max(n3, 0), 31000 + i)
+        for h in dpll.HEURISTICS:
+            _assert_same(dpll.DpllSolver(inst, h), [i], monkeypatch,
+                         record_cloud=i % 2 == 0)
+            pairs += 1
+    assert pairs == 1200
+
+
+def test_alpha10_guc_match(kernel, monkeypatch):
+    for n, seed in ((100, 1), (100, 2), (150, 3), (200, 4), (300, 5)):
+        inst = generate_random_instance(n, 0, 10 * n, 32000 + n + seed)
+        solver = dpll.DpllSolver(inst, dpll.GUC)
+        _assert_same(solver, [seed], monkeypatch)
+
+
+def test_check_invariants_runs_reference(kernel, monkeypatch):
+    inst = generate_random_instance(30, 5, 120, 33000)
+    compiled = [dpll.solve(inst, h, 7) for h in dpll.HEURISTICS]
+
+    def no_kernel():
+        raise AssertionError("check_invariants=True must not use the kernel")
+    monkeypatch.setattr(native, "load", no_kernel)
+    checked = [dpll.solve(inst, h, 7, check_invariants=True)
+               for h in dpll.HEURISTICS]
+    assert checked == compiled
+
+
+def test_fallback_without_compiler(kernel, fresh_load):
+    inst = generate_random_instance(40, 10, 150, 34000)
+    compiled = [dpll.solve(inst, h, 3) for h in dpll.HEURISTICS]
+    native.load.cache_clear()
+    fresh_load.setattr(native, "_compiler", lambda: None)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fallback = [dpll.solve(inst, h, 3) for h in dpll.HEURISTICS]
+    assert fallback == compiled
+    assert len(caught) == 1 and "no C compiler" in str(caught[0].message)
+
+
+def test_failed_builds_fall_back_with_one_warning(kernel, fresh_load, tmp_path):
+    inst = generate_random_instance(20, 0, 80, 35000)
+    want = dpll.solve(inst, dpll.GUC, 1)
+    blocked = tmp_path / "not-a-directory"
+    blocked.write_text("")
+    bad_source = tmp_path / "dpll_kernel.c"
+    bad_source.write_text("this is not C\n")
+    for attr, value, reason in (("XDG_CACHE_HOME", str(blocked), "cannot build"),
+                                ("SOURCE", bad_source, "compiling")):
+        native.load.cache_clear()
+        with fresh_load.context() as m:
+            if attr == "SOURCE":
+                m.setattr(native, "SOURCE", value)
+                m.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+            else:
+                m.setenv(attr, value)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = [dpll.solve(inst, dpll.GUC, 1) for _ in range(2)]
+        assert got == [want, want]
+        assert len(caught) == 1 and reason in str(caught[0].message)
+    assert not list((tmp_path / "cache" / "satgrowth").iterdir())
+
+
+_COLD_BUILD = """
+from satgrowth import dpll, native
+from satgrowth.cnf import generate_random_instance
+assert native.load() is not None
+s = dpll.solve(generate_random_instance(60, 0, 400, 36000), "GUC", 2)
+print(s.result, s.q_splits, s.b_leaves, s.g_node)
+"""
+
+
+def test_concurrent_cold_cache_builds(kernel, tmp_path):
+    # more builders than cores race on one empty cache: each must load a
+    # complete library, and exactly one published file remains
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
+               PYTHONPATH=os.path.dirname(os.path.dirname(dpll.__file__)))
+    procs = [subprocess.Popen([sys.executable, "-c", _COLD_BUILD], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True)
+             for _ in range(3)]
+    outs = [p.communicate(timeout=120) for p in procs]
+    assert [p.returncode for p in procs] == [0, 0, 0], [err for _, err in outs]
+    assert len({out for out, _ in outs}) == 1
+    names = [f.name for f in (tmp_path / "satgrowth").iterdir()]
+    assert len(names) == 1 and names[0].startswith("dpll_kernel-"), names

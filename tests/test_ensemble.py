@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from satgrowth import ensemble
 from satgrowth.ensemble import (EnsembleConfig, GMeasurement, RunRecord,
                                 derive_seed, extrapolate_omega,
                                 measure_g_point, read_records_csv,
@@ -33,6 +34,20 @@ def test_worker_count_independent():
     seq = run_ensemble(EnsembleConfig(**base, parallelism=1))
     par = run_ensemble(EnsembleConfig(**base, parallelism=2))
     assert _strip_runtime(seq) == _strip_runtime(par)
+
+
+def test_blocks_run_largest_n_first(monkeypatch):
+    seen = []
+    run_block = ensemble._run_block
+
+    def spy(args):
+        seen.append(args[2])
+        return run_block(args)
+    monkeypatch.setattr(ensemble, "_run_block", spy)
+    records = run_ensemble(EnsembleConfig(5.0, [10, 12, 14], 4, parallelism=1))
+    assert seen == sorted(seen, reverse=True) and set(seen) == {10, 12, 14}
+    keys = [(r.n_vars, r.trial) for r in records]
+    assert keys == sorted(keys)
 
 
 def test_records_csv_roundtrip(tmp_path):
