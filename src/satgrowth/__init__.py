@@ -1,7 +1,7 @@
 """DPLL search-tree growth on random 2+p-SAT.
 
 Subpackages:
-  cnf        - instances, partial states, clause classification, DIMACS
+  cnf        - instances as packed-literal buffers, the clause classifier, DIMACS
   dpll       - instrumented backtracking solver (UC / GUC / SC1)
   oracle     - exact evolution operator and branch function on small instances
   trajectory - single-branch ODE trajectories in the (p, alpha) phase diagram

@@ -1,42 +1,26 @@
 """CNF instances over 1-3 literal clauses: random 2+p-SAT generation,
 clause classification against partial states, and DIMACS interchange.
 
-Variables are 0-indexed.  A partial state marks every variable as
-undetermined (U), true (T) or false (F); clause classification and the
-clause-vector count (C1, C2, C3) of undetermined clauses by length are the
-reference semantics that the solver's incremental bookkeeping must match.
+Variables are 0-indexed.  A literal is packed as 2*variable + negated, so
+even codes are positive literals; this is the only clause representation,
+and the compiled solver kernel reads it as is.  A partial state is a
+sequence of marks, one per variable: undetermined (U), true (T) or false
+(F).  Clause classification and the clause-vector count (C1, C2, C3) of
+undetermined clauses by length are the reference semantics that the
+solver's incremental bookkeeping must match.
 """
 
 import io
+import operator
 import random
-from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from array import array
+from itertools import accumulate, chain
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 U, T, F = 0, 1, 2
-_MARK_CHARS = {U: "u", T: "t", F: "f"}
+_MARKS = {"u": U, "t": T, "f": F}
 
-SATISFIED = "satisfied"
-VIOLATED = "violated"
-UNDETERMINED = "undetermined"
-
-
-@dataclass(frozen=True)
-class Literal:
-    variable_index: int
-    negated: bool = False
-
-    def encode(self) -> int:
-        """Pack as 2*variable + negated; even codes are positive literals."""
-        return 2 * self.variable_index + (1 if self.negated else 0)
-
-    def opposite(self) -> "Literal":
-        return Literal(self.variable_index, not self.negated)
-
-    def __str__(self):
-        return ("~x%d" if self.negated else "x%d") % self.variable_index
-
-
-Clause = Tuple[Literal, ...]
+Clause = Tuple[int, ...]
 
 
 class ClauseVector(NamedTuple):
@@ -45,129 +29,121 @@ class ClauseVector(NamedTuple):
     c3: int
 
 
-class ClauseStatus(NamedTuple):
-    status: str  # SATISFIED, VIOLATED or UNDETERMINED
-    n_undetermined: int  # number of u-marked variables; 0 unless undetermined
+def _dimacs(lit: int) -> int:
+    """The signed 1-indexed DIMACS form of a packed literal."""
+    return -((lit >> 1) + 1) if lit & 1 else (lit >> 1) + 1
 
 
-def clause(*lits) -> Clause:
-    """Build a clause from (var, negated) pairs, Literals, or DIMACS-style ints."""
-    out = []
-    for lit in lits:
-        if isinstance(lit, Literal):
-            out.append(lit)
-        elif isinstance(lit, int):
-            if lit == 0:
-                raise ValueError("0 is not a DIMACS literal")
-            out.append(Literal(abs(lit) - 1, lit < 0))
-        else:
-            var, neg = lit
-            out.append(Literal(var, bool(neg)))
-    if not 1 <= len(out) <= 3:
+def clause(*lits: int) -> Clause:
+    """Build a clause of packed literals from DIMACS-style signed ints."""
+    if 0 in lits:
+        raise ValueError("0 is not a DIMACS literal")
+    if not 1 <= len(lits) <= 3:
         raise ValueError("clause length must be 1..3")
-    return tuple(out)
+    return tuple(2 * lit - 2 if lit > 0 else -2 * lit - 1 for lit in lits)
 
 
 class Instance:
     """An immutable CNF formula over n_vars Boolean variables.
 
-    Clauses have 1-3 literals.  Generated instances never repeat a variable
-    within a clause, but hand-built ones may (e.g. a tautological pair).
+    The clauses are stored once, back to back: `lits` is an array('i') of
+    packed literals and `starts` the n_clauses + 1 offsets into it, so
+    clause i is lits[starts[i]:starts[i + 1]].  Clauses have 1-3 literals.
+    Generated instances never repeat a variable within a clause, but
+    hand-built ones may (e.g. a tautological pair).
     """
 
-    def __init__(self, n_vars: int, clauses: Iterable[Clause]):
-        self.n_vars = int(n_vars)
-        self.clauses: Tuple[Clause, ...] = tuple(tuple(c) for c in clauses)
-        for c in self.clauses:
-            if not 1 <= len(c) <= 3:
-                raise ValueError("clause length must be 1..3")
-            for lit in c:
-                if not 0 <= lit.variable_index < self.n_vars:
-                    raise ValueError(
-                        f"literal {lit} out of range for n_vars={self.n_vars}")
-        self._encoded: Optional[List[List[int]]] = None
+    def __init__(self, n_vars: int, clauses: Iterable[Sequence[int]]):
+        clauses = list(clauses)
+        self._adopt(n_vars, array("i", chain.from_iterable(clauses)),
+                    array("i", accumulate(map(len, clauses), initial=0)))
 
-    def encoded_clauses(self) -> List[List[int]]:
-        """Clauses as lists of packed literal codes (cached)."""
-        if self._encoded is None:
-            self._encoded = [[lit.encode() for lit in c] for c in self.clauses]
-        return self._encoded
+    @classmethod
+    def _from_buffers(cls, n_vars: int, lits: array, starts: array) -> "Instance":
+        inst = cls.__new__(cls)
+        inst._adopt(n_vars, lits, starts)
+        return inst
+
+    def _adopt(self, n_vars: int, lits: array, starts: array) -> None:
+        self.n_vars = int(n_vars)
+        lengths = list(map(operator.sub, starts[1:], starts))
+        if lengths and not 1 <= min(lengths) <= max(lengths) <= 3:
+            raise ValueError("clause length must be 1..3")
+        if lits and not 0 <= min(lits) <= max(lits) < 2 * self.n_vars:
+            bad = next(lit for lit in lits if not 0 <= lit < 2 * self.n_vars)
+            raise ValueError(f"literal {_dimacs(bad)} out of range for "
+                             f"n_vars={self.n_vars}")
+        self.lits = lits
+        self.starts = starts
 
     @property
     def n_clauses(self) -> int:
-        return len(self.clauses)
+        return len(self.starts) - 1
+
+    def clauses(self) -> List[Clause]:
+        """The clauses as tuples of packed literals (built on each call)."""
+        lits = self.lits.tolist()
+        starts = self.starts.tolist()
+        return [tuple(lits[a:b]) for a, b in zip(starts, starts[1:])]
 
     def __repr__(self):
         return f"Instance(n_vars={self.n_vars}, n_clauses={self.n_clauses})"
 
 
-class PartialState:
-    """Per-variable marks in {U, T, F} with a cached count of U marks."""
-
-    def __init__(self, marks: Sequence[int]):
-        self.marks = list(marks)
-        for m in self.marks:
-            if m not in (U, T, F):
-                raise ValueError(f"bad mark {m!r}")
-        self.n_undetermined = sum(1 for m in self.marks if m == U)
-
-    @classmethod
-    def all_undetermined(cls, n_vars: int) -> "PartialState":
-        return cls([U] * n_vars)
-
-    @classmethod
-    def from_string(cls, s: str) -> "PartialState":
-        """Parse e.g. 'tuf' -> marks (T, U, F)."""
-        rev = {v: k for k, v in _MARK_CHARS.items()}
-        return cls([rev[ch] for ch in s])
-
-    def set_mark(self, var: int, mark: int) -> None:
-        old = self.marks[var]
-        if old == U and mark != U:
-            self.n_undetermined -= 1
-        elif old != U and mark == U:
-            self.n_undetermined += 1
-        self.marks[var] = mark
-
-    def copy(self) -> "PartialState":
-        return PartialState(self.marks)
-
-    def __str__(self):
-        return "".join(_MARK_CHARS[m] for m in self.marks)
+def parse_marks(s: str) -> Tuple[int, ...]:
+    """Parse e.g. 'tuf' -> marks (T, U, F)."""
+    try:
+        return tuple(_MARKS[ch] for ch in s)
+    except KeyError as exc:
+        raise ValueError(f"bad mark {exc.args[0]!r}") from None
 
 
-def clause_status(cl: Clause, state: PartialState) -> ClauseStatus:
-    """Classify one clause: satisfied if some literal is true, violated if
-    all are false, otherwise undetermined with its count of u-marked variables."""
-    n_u = 0
-    for lit in cl:
-        m = state.marks[lit.variable_index]
-        if m == U:
-            n_u += 1
-        elif (m == T) != lit.negated:
-            return ClauseStatus(SATISFIED, 0)
-    if n_u == 0:
-        return ClauseStatus(VIOLATED, 0)
-    return ClauseStatus(UNDETERMINED, n_u)
+def classify(clauses: Iterable[Sequence[int]], marks: Sequence[int]
+             ) -> Tuple[bool, List[List[int]]]:
+    """Return (violated, undetermined clause slot lists).
+
+    A clause is satisfied if some literal is true and violated if all are
+    false; otherwise it is undetermined and contributes the list of its free
+    literal codes (one entry per slot; repeated variables keep their slots).
+    The scan stops at the first violated clause, so the slot lists are
+    complete only when `violated` is False.
+    """
+    violated = False
+    undet: List[List[int]] = []
+    for lits in clauses:
+        free = []
+        sat = False
+        for lit in lits:
+            m = marks[lit >> 1]
+            if m == U:
+                free.append(lit)
+            elif (m == T) == (lit & 1 == 0):
+                sat = True
+                break
+        if sat:
+            continue
+        if not free:
+            violated = True
+            break
+        undet.append(free)
+    return violated, undet
 
 
-def clause_vector(instance: Instance, state: PartialState) -> ClauseVector:
-    """Count undetermined clauses by type; the reference for the solver's
-    incremental counters."""
+def clause_vector(instance: Instance, marks: Sequence[int]) -> ClauseVector:
+    """Count undetermined clauses by type on a non-violating partial state;
+    the reference for the solver's incremental counters."""
+    violated, undet = classify(instance.clauses(), marks)
+    if violated:
+        raise ValueError("clause vector undefined on a violating state")
     counts = [0, 0, 0, 0]
-    for cl in instance.clauses:
-        st = clause_status(cl, state)
-        if st.status == UNDETERMINED:
-            counts[st.n_undetermined] += 1
+    for free in undet:
+        counts[len(free)] += 1
     return ClauseVector(counts[1], counts[2], counts[3])
 
 
-def violates(instance: Instance, state: PartialState) -> bool:
-    return any(clause_status(c, state).status == VIOLATED for c in instance.clauses)
-
-
-def satisfies(instance: Instance, state: PartialState) -> bool:
-    return all(clause_status(c, state).status == SATISFIED for c in instance.clauses)
+def satisfies(instance: Instance, marks: Sequence[int]) -> bool:
+    violated, undet = classify(instance.clauses(), marks)
+    return not violated and not undet
 
 
 def generate_random_instance(n_vars: int, n_2clauses: int, n_3clauses: int,
@@ -181,24 +157,31 @@ def generate_random_instance(n_vars: int, n_2clauses: int, n_3clauses: int,
         raise ValueError("need n_vars >= 2 to draw 2-clauses")
     if n_2clauses < 0 or n_3clauses < 0 or n_vars < 1:
         raise ValueError("sizes must be non-negative (n_vars >= 1)")
-    rng = random.Random(seed)
-    randrange = rng.randrange
-    clauses = []
-    for k, count in ((2, n_2clauses), (3, n_3clauses)):
-        for _ in range(count):
-            v1 = randrange(n_vars)
+    randrange = random.Random(seed).randrange
+    lits = array("i")
+    push = lits.append
+    # per clause: its distinct variables first, then one sign per variable
+    for _ in range(n_2clauses):
+        v1 = randrange(n_vars)
+        v2 = randrange(n_vars)
+        while v2 == v1:
             v2 = randrange(n_vars)
-            while v2 == v1:
-                v2 = randrange(n_vars)
-            if k == 2:
-                chosen = (v1, v2)
-            else:
-                v3 = randrange(n_vars)
-                while v3 == v1 or v3 == v2:
-                    v3 = randrange(n_vars)
-                chosen = (v1, v2, v3)
-            clauses.append(tuple(Literal(v, bool(randrange(2))) for v in chosen))
-    return Instance(n_vars, clauses)
+        push(2 * v1 + randrange(2))
+        push(2 * v2 + randrange(2))
+    for _ in range(n_3clauses):
+        v1 = randrange(n_vars)
+        v2 = randrange(n_vars)
+        while v2 == v1:
+            v2 = randrange(n_vars)
+        v3 = randrange(n_vars)
+        while v3 == v1 or v3 == v2:
+            v3 = randrange(n_vars)
+        push(2 * v1 + randrange(2))
+        push(2 * v2 + randrange(2))
+        push(2 * v3 + randrange(2))
+    starts = array("i", range(0, 2 * n_2clauses, 2))
+    starts.extend(range(2 * n_2clauses, len(lits) + 1, 3))
+    return Instance._from_buffers(n_vars, lits, starts)
 
 
 def brute_force_satisfiable(instance: Instance, max_vars: int = 24) -> bool:
@@ -208,13 +191,13 @@ def brute_force_satisfiable(instance: Instance, max_vars: int = 24) -> bool:
         raise ValueError(f"brute force capped at {max_vars} variables")
     pos = []
     neg = []
-    for c in instance.clauses:
+    for c in instance.clauses():
         pm = nm = 0
         for lit in c:
-            if lit.negated:
-                nm |= 1 << lit.variable_index
+            if lit & 1:
+                nm |= 1 << (lit >> 1)
             else:
-                pm |= 1 << lit.variable_index
+                pm |= 1 << (lit >> 1)
         pos.append(pm)
         neg.append(nm)
     full = (1 << n) - 1
@@ -238,22 +221,22 @@ def write_dimacs(instance: Instance, path_or_file) -> None:
     fh = open(path_or_file, "w") if own else path_or_file
     try:
         fh.write(f"p cnf {instance.n_vars} {instance.n_clauses}\n")
-        for c in instance.clauses:
-            lits = " ".join(
-                str(-(lit.variable_index + 1) if lit.negated else lit.variable_index + 1)
-                for lit in c)
-            fh.write(lits + " 0\n")
+        for c in instance.clauses():
+            fh.write(" ".join(str(_dimacs(lit)) for lit in c) + " 0\n")
     finally:
         if own:
             fh.close()
 
 
 def read_dimacs(path_or_file) -> Instance:
-    """Parse DIMACS CNF; clauses longer than 3 literals are rejected."""
+    """Parse DIMACS CNF.  Rejects clauses longer than 3 literals, an instance
+    without variables, and a header whose clause count the file does not
+    hold."""
     own = isinstance(path_or_file, (str, bytes))
     fh = open(path_or_file) if own else path_or_file
     try:
         n_vars = None
+        n_declared = None
         clauses = []
         pending: List[int] = []
         for raw in fh:
@@ -265,6 +248,7 @@ def read_dimacs(path_or_file) -> Instance:
                 if len(parts) < 4 or parts[1] != "cnf":
                     raise ValueError(f"bad DIMACS header: {line!r}")
                 n_vars = int(parts[2])
+                n_declared = int(parts[3])
                 continue
             for tok in line.split():
                 v = int(tok)
@@ -276,9 +260,13 @@ def read_dimacs(path_or_file) -> Instance:
                     pending.append(v)
         if pending:
             clauses.append(clause(*pending))
+        if n_declared is not None and n_declared != len(clauses):
+            raise ValueError(f"DIMACS header declares {n_declared} clauses, "
+                             f"the file holds {len(clauses)}")
         if n_vars is None:
-            n_vars = max((lit.variable_index for c in clauses for lit in c),
-                         default=-1) + 1
+            n_vars = max((lit >> 1 for c in clauses for lit in c), default=-1) + 1
+        if n_vars < 1:
+            raise ValueError("DIMACS instance has no variables")
         return Instance(n_vars, clauses)
     finally:
         if own:

@@ -15,15 +15,14 @@ node reached back by backtracking).
 
 `DpllSolver.solve` runs a compiled port of its search loop
 (`dpll_kernel.c`, built on first use by `native`) that reproduces this
-module's bookkeeping and random draws bit for bit.  The Python loop below is
-the reference: it runs when the kernel cannot be built here and whenever
-`check_invariants` is set.
+module's bookkeeping and random draws bit for bit; it reads the instance's
+packed-literal buffers as they are.  The Python loop below is the reference:
+it runs when the kernel cannot be built here and whenever `check_invariants`
+is set, and builds its clause and occurrence lists on first use.
 """
 
 import hashlib
-import itertools
 import random
-from array import array
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
@@ -100,22 +99,21 @@ class DpllSolver:
         self.instance = instance
         self.heuristic = heuristic
         self.n = instance.n_vars
-        self.clause_lits = instance.encoded_clauses()
-        occ = [[] for _ in range(2 * self.n)]
-        for ci, lits in enumerate(self.clause_lits):
-            for lit in lits:
-                occ[lit].append(ci)
-        self.occ = occ
-        # the clauses as the kernel reads them: packed literals and offsets
-        self._flat_lits = array("i", itertools.chain.from_iterable(self.clause_lits))
-        self._clause_start = array("i", itertools.accumulate(
-            map(len, self.clause_lits), initial=0))
-        self._track_free = heuristic != GUC
-        self.reset(0)
+        self.occ = None  # the reference loop's state; reset() builds it
 
     # ------------------------------------------------------------ state
 
     def reset(self, seed: int) -> None:
+        """Start the reference loop's search state over for `seed`; the
+        first call builds the clause and occurrence lists."""
+        if self.occ is None:
+            self.clause_lits = self.instance.clauses()
+            occ = [[] for _ in range(2 * self.n)]
+            for ci, lits in enumerate(self.clause_lits):
+                for lit in lits:
+                    occ[lit].append(ci)
+            self.occ = occ
+            self._track_free = self.heuristic != GUC
         m = len(self.clause_lits)
         self.rng = random.Random(_mix_seed(seed))
         self.val = [-1] * self.n          # -1 unassigned, 0 false, 1 true
@@ -144,9 +142,9 @@ class DpllSolver:
         return cnf.ClauseVector(len(self.lives[1]), len(self.lives[2]),
                                 len(self.lives[3]))
 
-    def partial_state(self) -> cnf.PartialState:
-        return cnf.PartialState(
-            [cnf.U if v < 0 else (cnf.T if v else cnf.F) for v in self.val])
+    def partial_state(self) -> List[int]:
+        """The current assignment as cnf marks."""
+        return [cnf.U if v < 0 else (cnf.T if v else cnf.F) for v in self.val]
 
     def phase_point(self) -> PhasePoint:
         return _phase_point(self.n, len(self.trail), len(self.lives[2]),
@@ -383,7 +381,7 @@ class DpllSolver:
 
     def _solve_compiled(self, lib, seed: int, record_cloud: bool) -> SolveStats:
         sat, q_splits, b_leaves, g, cloud, values = native.solve(
-            lib, self.n, self._flat_lits, self._clause_start, self.heuristic,
+            lib, self.n, self.instance.lits, self.instance.starts, self.heuristic,
             _mix_seed(seed), record_cloud)
         assignment = self._verified([v == 1 for v in values]) if sat else None
         return SolveStats(result="sat" if sat else "unsat", q_splits=q_splits,
@@ -394,8 +392,10 @@ class DpllSolver:
                           assignment=assignment)
 
     def _verified(self, assignment: List[bool]) -> List[bool]:
-        for lits in self.clause_lits:
-            if not any(assignment[lit >> 1] == (lit & 1 == 0) for lit in lits):
+        lits = self.instance.lits
+        starts = self.instance.starts
+        for a, b in zip(starts, starts[1:]):
+            if not any(assignment[lit >> 1] == (lit & 1 == 0) for lit in lits[a:b]):
                 raise AssertionError("solver produced a non-satisfying assignment")
         return assignment
 

@@ -428,10 +428,10 @@ def legendre_surface(alpha0: float, heuristic: str, t: float,
                 end = shooter.integrate((y2, y3), t)
             except (OverflowError, ValueError, IntegrationError):
                 continue
-            ey2, ey3, c2, c3, phi = end
+            y2_end, y3_end, c2, c3, phi = end
             if c2 < 0 or c3 < 0 or c2 + c3 <= 0:
                 continue
-            om = phi - ey2 * c2 - ey3 * c3
+            om = phi - y2_end * c2 - y3_end * c3
             raw.append((c3 / (c2 + c3), (c2 + c3) / (1.0 - t), om))
     if not raw:
         raise ValueError("no valid surface samples; widen y_span or lower t")

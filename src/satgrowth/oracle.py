@@ -13,10 +13,10 @@ States are packed base-3: digit i of an index is the mark of variable i
 
 import random
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import dpll
-from .cnf import (F, T, U, Instance, PartialState, brute_force_satisfiable)
+from .cnf import F, T, U, Instance, brute_force_satisfiable, classify
 
 DEFAULT_VAR_CAP = 12
 
@@ -42,34 +42,7 @@ def unpack_state(index: int, n_vars: int) -> Tuple[int, ...]:
     return tuple(marks)
 
 
-def _classify(clauses_enc: List[List[int]], marks) -> Tuple[bool, List[List[int]]]:
-    """Return (violated, undetermined clause slot lists).
-
-    Each undetermined clause contributes the list of its free literal codes
-    (one entry per slot; repeated variables keep their slots).
-    """
-    violated = False
-    undet: List[List[int]] = []
-    for lits in clauses_enc:
-        free = []
-        sat = False
-        for lit in lits:
-            m = marks[lit >> 1]
-            if m == U:
-                free.append(lit)
-            elif (m == T) == (lit & 1 == 0):
-                sat = True
-                break
-        if sat:
-            continue
-        if not free:
-            violated = True
-            break
-        undet.append(free)
-    return violated, undet
-
-
-def _transitions(clauses_enc, marks, heuristic, n_vars) -> List[Tuple[int, Fraction]]:
+def _transitions(clauses, marks, heuristic, n_vars) -> List[Tuple[int, Fraction]]:
     """Successor (state index, weight) pairs per the heuristic-induced rules.
 
     Unit clauses present: weight h(j|S) g(x|S,j) on the single forced child
@@ -77,7 +50,7 @@ def _transitions(clauses_enc, marks, heuristic, n_vars) -> List[Tuple[int, Fract
     variable j contributes BOTH children with weight h(j|S), so the total
     outgoing weight is 2.
     """
-    violated, undet = _classify(clauses_enc, marks)
+    violated, undet = classify(clauses, marks)
     if violated:
         raise ValueError("transition probabilities are undefined on a violating state")
     units = [c[0] for c in undet if len(c) == 1]
@@ -167,7 +140,7 @@ def build_evolution_operator(instance: Instance, heuristic: str,
     n = instance.n_vars
     if n > var_cap:
         raise ValueError(f"n_vars={n} exceeds the operator cap ({var_cap})")
-    clauses_enc = instance.encoded_clauses()
+    clauses = instance.clauses()
     start_marks = (U,) * n
     start = pack_state(start_marks)
     columns: Dict[int, List[Tuple[int, Fraction]]] = {}
@@ -176,7 +149,7 @@ def build_evolution_operator(instance: Instance, heuristic: str,
     seen = {start}
     while stack:
         idx, marks = stack.pop()
-        violated, undet = _classify(clauses_enc, marks)
+        violated, undet = classify(clauses, marks)
         if violated:
             violating.add(idx)
             columns[idx] = [(idx, Fraction(1))]
@@ -184,7 +157,7 @@ def build_evolution_operator(instance: Instance, heuristic: str,
         if not undet:
             columns[idx] = []
             continue
-        succ = _transitions(clauses_enc, marks, heuristic, n)
+        succ = _transitions(clauses, marks, heuristic, n)
         columns[idx] = succ
         for s2, _ in succ:
             if s2 not in seen:
@@ -194,10 +167,10 @@ def build_evolution_operator(instance: Instance, heuristic: str,
 
 
 def transition_probs(instance: Instance, heuristic: str,
-                     state: PartialState) -> List[Tuple[int, Fraction]]:
-    """Successors of one partial state as (packed index, exact weight) pairs."""
-    return _transitions(instance.encoded_clauses(), state.marks, heuristic,
-                        instance.n_vars)
+                     marks: Sequence[int]) -> List[Tuple[int, Fraction]]:
+    """Successors of one partial state (a sequence of cnf marks) as (packed
+    index, exact weight) pairs."""
+    return _transitions(instance.clauses(), marks, heuristic, instance.n_vars)
 
 
 def branch_function_sequence(instance: Instance, heuristic: str, t_max: int,

@@ -60,17 +60,16 @@ class StepControl:
     eps_end: float = 1e-10
 
 
-def heuristic_h(kind: str, state: DensityState, alpha0: Optional[float] = None) -> float:
-    """Split-heuristic term h of the c2 equation at one density state."""
+def heuristic_h(kind: str, c3: float, one_t: float) -> float:
+    """Split-heuristic term h of the c2 equation at 3-clause density c3 and
+    unassigned fraction one_t = 1 - t."""
     if kind == UC:
         return 0.0
     if kind == GUC:
-        if alpha0 is not None and alpha0 <= 2 / 3:
-            raise UnsupportedDomainError("GUC branch ODEs need alpha0 > 2/3")
         return 1.0
     if kind == SC1:
-        a = 3.0 * state.c3 / (1.0 - state.t)
-        return a * (bessel_i0e(a) + bessel_i1e(a)) / 2.0
+        a = 3.0 * c3 / one_t
+        return a * (bessel_i0e(a) + bessel_i1e(a)) / 2.0 if a > 0 else 0.0
     raise ValueError(f"unknown heuristic {kind!r}")
 
 
@@ -135,13 +134,7 @@ def integrate_branch(alpha0: float, heuristic: str,
         one_t = math.exp(-s)
         r1 = 1.0 - c2 / one_t
         r1 = min(1.0, max(0.0, r1))
-        if heuristic == UC:
-            h = 0.0
-        elif heuristic == GUC:
-            h = 1.0
-        else:
-            a = 3.0 * c3 / one_t
-            h = a * (bessel_i0e(a) + bessel_i1e(a)) / 2.0 if a > 0 else 0.0
+        h = heuristic_h(heuristic, c3, one_t)
         return [1.5 * c3 - 2.0 * c2 - one_t * r1 * h, -3.0 * c3]
 
     def stop(s, y):
@@ -266,9 +259,6 @@ class CriticalLine:
         if p1 == p0:
             return a1
         return a0 + (a1 - a0) * (p - p0) / (p1 - p0)
-
-    def csv_rows(self, n: int = 121) -> List[Tuple[float, float]]:
-        return [(i / (n - 1), self.alpha_c(i / (n - 1))) for i in range(n)]
 
 
 def find_g(alpha0: float, heuristic: str, critical_line: CriticalLine,

@@ -88,6 +88,19 @@ def test_alpha10_guc_match(kernel, monkeypatch):
         _assert_same(solver, [seed], monkeypatch)
 
 
+def test_compiled_path_builds_no_reference_state(kernel, monkeypatch):
+    inst = generate_random_instance(60, 10, 240, 37000)
+    for h in dpll.HEURISTICS:
+        solver = dpll.DpllSolver(inst, h)
+        got = solver.solve(5)
+        # the kernel read the instance's buffers; no Python-side state exists
+        assert solver.occ is None
+        assert not hasattr(solver, "clause_lits") and not hasattr(solver, "lives")
+        solver.reset(5)
+        assert len(solver.occ) == 2 * inst.n_vars and len(solver.lives[3]) == 240
+        assert _python_solve(solver, 5, monkeypatch) == got
+
+
 def test_check_invariants_runs_reference(kernel, monkeypatch):
     inst = generate_random_instance(30, 5, 120, 33000)
     compiled = [dpll.solve(inst, h, 7) for h in dpll.HEURISTICS]

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from common import I1, I2, I3, unsat_corpus
-from satgrowth.cnf import Instance, PartialState, clause
+from satgrowth.cnf import Instance, clause, parse_marks
 from satgrowth.oracle import (SatisfiableInstanceError, branch_function,
                               branch_function_sequence,
                               build_evolution_operator, monte_carlo_leaf_mean,
@@ -29,23 +29,23 @@ def test_i1_matrix_entries():
 
 def test_transition_prob_examples():
     # forced unit propagation on a single variable
-    probs = transition_probs(I1, "GUC", PartialState.from_string("u"))
+    probs = transition_probs(I1, "GUC", parse_marks("u"))
     assert sorted(probs) == [(pack_state((1,)), H), (pack_state((2,)), H)]
     # root split of I3: x1, x2 drawn w.p. 2/5 each, x3 w.p. 1/5
-    probs = dict(transition_probs(I3, "GUC", PartialState.from_string("uuu")))
+    probs = dict(transition_probs(I3, "GUC", parse_marks("uuu")))
     assert probs[pack_state((1, 0, 0))] == Fraction(2, 5)
     assert probs[pack_state((0, 2, 0))] == Fraction(2, 5)
     assert probs[pack_state((0, 0, 1))] == Fraction(1, 5)
     assert probs[pack_state((0, 0, 2))] == Fraction(1, 5)
     assert sum(probs.values()) == 2  # split: both children per variable
     # unit propagation after assigning x1 in I2
-    probs = dict(transition_probs(I2, "GUC", PartialState.from_string("tu")))
+    probs = dict(transition_probs(I2, "GUC", parse_marks("tu")))
     assert probs == {pack_state((1, 1)): H, pack_state((1, 2)): H}
 
 
 def test_transition_probs_reject_violating():
     with pytest.raises(ValueError):
-        transition_probs(I2, "GUC", PartialState.from_string("tt"))
+        transition_probs(I2, "GUC", parse_marks("tt"))
 
 
 def test_operator_sparsity_counts():

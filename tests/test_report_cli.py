@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 
@@ -13,20 +14,45 @@ def _read_header(path):
         return next(csv.reader(fh))
 
 
+def _digest(data):
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+# Golden outputs recorded before clauses became packed-int buffers; they pin
+# the generator's draw order, the DIMACS text and the solver's tree.
+_GOLDEN_SOLVE = ('{"alpha0": 4.166666666666667, "b_leaves": 7, "g_node": '
+                 '[1.0, 4.166666666666667, 0.0], "heuristic": "GUC", '
+                 '"n_vars": 12, "q_splits": 6, "result": "unsat", "seed": 2}')
+_GOLDEN_B = ("B(T): 1 2 4 559366573/126977760 2278385989/507911040 "
+             "2278385989/507911040 2278385989/507911040 2278385989/507911040")
+
+
 def test_cli_gen_solve_roundtrip(tmp_path, capsys):
+    assert cli.main(["gen", "--n-vars", "20", "--n2", "15", "--n3", "40",
+                     "--seed", "9"]) == 0
+    assert _digest(capsys.readouterr().out.encode()) == \
+        "f8112006e1870497e763d437e473add8"
+    assert cli.main(["gen", "--n-vars", "12", "--n3", "50", "--seed", "4"]) == 0
+    text = capsys.readouterr().out
+    assert _digest(text.encode()) == "91086f903b2b70d1e9924e6cbd38e5e1"
     cnf_path = str(tmp_path / "inst.cnf")
     assert cli.main(["gen", "--n-vars", "12", "--n3", "50", "--seed", "4",
                      "--out", cnf_path]) == 0
+    assert open(cnf_path).read() == text
     inst = cnf.read_dimacs(cnf_path)
     assert inst.n_vars == 12 and inst.n_clauses == 50
     json_path = str(tmp_path / "run.json")
     assert cli.main(["solve", cnf_path, "--seed", "2", "--json", json_path]) == 0
-    rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert line == _GOLDEN_SOLVE
+    rec = json.loads(line)
     assert rec["result"] in ("sat", "unsat")
     assert rec["n_vars"] == 12
     full = json.load(open(json_path))
     assert set(full) == {"result", "q_splits", "b_leaves", "g_node", "cloud",
                          "seed", "heuristic", "n_vars", "alpha0"}
+    assert _digest(open(json_path, "rb").read()) == \
+        "567f0b4127915dc09ccc74c771b2ffd7"
 
 
 def test_cli_oracle(tmp_path, capsys):
@@ -36,11 +62,23 @@ def test_cli_oracle(tmp_path, capsys):
     assert cli.main(["oracle", cnf_path, "--mc", "500"]) == 0
     out = capsys.readouterr().out
     assert "B(T):" in out and "monte carlo leaves:" in out
+    lines = out.splitlines()
+    assert lines[0] == "operator: 507 reachable states, 1122 nonzeros"
+    assert lines[1] == _GOLDEN_B
+    assert lines[2] == "T* = 4, B* = 2278385989/507911040"
+    assert lines[3] == "monte carlo leaves: 4.506000 +- 0.030689 (500 runs)"
 
 
-def test_cli_error_exit(capsys):
+def test_cli_error_exit(tmp_path, capsys):
     assert cli.main(["oracle", "/nonexistent/file.cnf"]) == 1
     assert "error:" in capsys.readouterr().err
+    # DIMACS headers that the file contradicts, or that declare no variables
+    for name, text in (("short.cnf", "p cnf 3 5\n1 -2 3 0\n"),
+                       ("empty.cnf", "p cnf 0 0\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        assert cli.main(["solve", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 def test_cli_ode_pde_annealed(capsys):

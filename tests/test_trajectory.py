@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from satgrowth.numerics import bessel_i0e, bessel_i1e
 from satgrowth.trajectory import (CriticalLine, DensityState, StepControl,
                                   UnsupportedDomainError, find_alpha_l, find_g,
                                   heuristic_h, integrate_branch, rho1,
@@ -9,19 +10,18 @@ from satgrowth.trajectory import (CriticalLine, DensityState, StepControl,
 
 
 def test_heuristic_h_values():
-    st = DensityState(0.2, 0.5, 1.5)
-    assert heuristic_h("UC", st) == 0.0
-    assert heuristic_h("GUC", st, alpha0=3.0) == 1.0
-    assert heuristic_h("SC1", DensityState(0.3, 0.2, 0.0)) == 0.0
-    with pytest.raises(UnsupportedDomainError):
-        heuristic_h("GUC", st, alpha0=0.5)
+    assert heuristic_h("UC", 1.5, 0.8) == 0.0
+    assert heuristic_h("GUC", 1.5, 0.8) == 1.0
+    assert heuristic_h("SC1", 0.0, 0.7) == 0.0
+    a = 3.0 * 1.5 / 0.8  # SC1: a e^-a (I0 + I1)/2 at a = 3 c3/(1-t)
+    assert heuristic_h("SC1", 1.5, 0.8) == a * (bessel_i0e(a) + bessel_i1e(a)) / 2.0
     with pytest.raises(ValueError):
-        heuristic_h("DLIS", st)
+        heuristic_h("DLIS", 1.5, 0.8)
 
 
 def test_sc1_h_shape():
     # a e^-a (I0 + I1)/2 rises from 0 like a and grows as sqrt(a/2pi)
-    vals = [heuristic_h("SC1", DensityState(0.0, 0.0, a / 3.0)) for a in
+    vals = [heuristic_h("SC1", a / 3.0, 1.0) for a in
             (0.1, 1.0, 3.0, 9.0)]
     assert all(v > 0 for v in vals)
     assert vals[0] < vals[1] < vals[2] < vals[3]
