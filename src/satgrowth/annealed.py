@@ -26,8 +26,23 @@ on the clause vector.  One assigned variable per step:
 
 The vectorized engine factors each step into exact sequential binomial
 passes (per-clause multinomial fates = satisfied-thinning followed by
-conversion of the survivors), applied as banded matrix products along one
-axis at a time; it matches guc_transition_row to rounding error.
+conversion of the survivors), applied as banded shift-and-add passes along
+one axis at a time of the dense (C1, C2, C3) window; it matches
+guc_transition_row to rounding error.  A thinning pass moves mass down its
+axis (j satisfied clauses leave); a conversion pass also moves it one step
+up the axis before (k clauses lose a literal: 2 -> 1 along C2 into C1,
+3 -> 2 along C3 into C2).  Before a step the window's low C2 and C3 sides
+are padded by the per-step binomial support (for C2: thinning plus 2 -> 1
+conversion plus the split clause), so no move leaves the window; the
+(0, 0, C3) split-on-a-3-clause sliver is evaluated row by row with
+guc_transition_row while the window holds C2 = 0.
+
+Backend: the binomial weight tables are always computed here with numpy
+(_pass_weights).  The multiply-adds run in the C kernel annealed_kernel.c,
+which native.load_annealed() builds on the first step of a process, or, when
+it cannot be built, in the numpy loops of _thin_pass/_convert_pass, which
+are the readable reference.  Both add each cell's terms in the same order,
+so fields, mass curves and omegas are bit-identical across backends.
 """
 
 import math
@@ -36,6 +51,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from . import native
 from .cnf import ClauseVector
 
 _LGF_CACHE = np.zeros(1)
@@ -139,11 +155,13 @@ class BranchCountField:
     """Map clause vector -> expected branch count at one depth T, stored as a
     dense window array indexed by (C1, C2 - c2_lo, C3 - c3_lo)."""
 
-    def __init__(self, T: int, array: np.ndarray, c2_lo: int, c3_lo: int):
+    def __init__(self, T: int, array: np.ndarray, c2_lo: int, c3_lo: int,
+                 pruned_mass: float = 0.0):
         self.T = T
         self.array = array
         self.c2_lo = c2_lo
         self.c3_lo = c3_lo
+        self.pruned_mass = pruned_mass  # mass the pruning zeroed at this step
 
     def get(self, c_vec) -> float:
         c1, c2, c3 = c_vec
@@ -177,59 +195,98 @@ class BranchCountField:
         return float(np.dot(marg, self.c3_lo + np.arange(len(marg))) / tot)
 
 
-def _thin_pass(arr: np.ndarray, values: np.ndarray, p: float,
-               tail: float) -> np.ndarray:
-    """Population thinning along the last axis: dst = src - j, j ~ Bin(src, p).
+def _pass_weights(values: np.ndarray, p: float, tail: float) -> np.ndarray:
+    """Binomial weights of one shift-and-add pass over populations `values`
+    (ascending, unit step, values[0] >= 0).
+
+    Row j holds, at each window index i >= j, the Bin(values[i], p)
+    probability of j; taking j items moves mass from index i to i - j.  The
+    rows stop at the binomial support of the largest population, or where
+    the window is narrower than that (no in-window destination is left).
+    """
+    c = len(values)
+    lo = int(values[0])
+    n_hi = int(values[-1])
+    n_rows = min(_binom_support(n_hi, p, tail) + 1, c)
+    lgf = _lgf(max(n_hi, 1))
+    logp = math.log(p)
+    log1p_ = math.log1p(-p)
+    table = np.zeros((n_rows, c))
+    for j in range(n_rows):
+        s = np.arange(lo + j, lo + c)
+        table[j, j:] = np.exp(lgf[s] - lgf[j] - lgf[s - j] + j * logp
+                              + (s - j) * log1p_)
+    return table
+
+
+def _check_pass(arr: np.ndarray, values: np.ndarray, axis: int,
+                first_axis: int) -> None:
+    """The kernel indexes arr and the weight table by these shapes."""
+    if not (arr.ndim == 3 and first_axis <= axis < 3
+            and len(values) == arr.shape[axis]):
+        raise ValueError(f"pass along axis {axis} of a {arr.shape} window "
+                         f"with {len(values)} populations")
+
+
+def _thin_pass(arr: np.ndarray, values: np.ndarray, p: float, tail: float,
+               axis: int) -> np.ndarray:
+    """Population thinning along `axis`: dst = src - j, j ~ Bin(src, p).
 
     `values` are the actual populations along that axis (ascending, unit
     step); destinations falling below the window are masked off, so callers
     must pad the low side by the binomial support first.
     """
+    _check_pass(arr, values, axis, 0)
     if p <= 0.0:
         return arr.copy()
-    c = arr.shape[-1]
-    lo = int(values[0])
-    n_hi = int(values[-1])
-    j_max = _binom_support(n_hi, p, tail)
-    lgf = _lgf(max(n_hi, 1))
-    out = np.zeros_like(arr)
-    logp = math.log(p)
-    log1p_ = math.log1p(-p)
-    for j in range(j_max + 1):
-        start = max(j - lo, 0, j)  # value >= j and in-window destination
-        if start >= c:
-            break
-        s = np.arange(lo + start, lo + c)
-        coef = np.exp(lgf[s] - lgf[j] - lgf[s - j] + j * logp + (s - j) * log1p_)
-        out[..., start - j:c - j] += arr[..., start:] * coef
+    weights = _pass_weights(values, p, tail)
+    lib = native.load_annealed()
+    if lib is None:
+        src = np.moveaxis(arr, axis, -1)
+        out = np.zeros_like(src)
+        c = src.shape[-1]
+        for j, w in enumerate(weights):
+            out[..., :c - j] += src[..., j:] * w[j:]
+        return np.moveaxis(out, -1, axis)
+    src = np.ascontiguousarray(arr, dtype=float)
+    out = np.zeros(src.shape)
+    lib.sg_thin(src.ctypes.data, out.ctypes.data, math.prod(src.shape[:axis]),
+                src.shape[axis], math.prod(src.shape[axis + 1:]),
+                weights.ctypes.data, len(weights))
     return out
 
 
 def _convert_pass(arr: np.ndarray, values_from: np.ndarray, q: float,
-                  tail: float) -> np.ndarray:
-    """Move k items from the last axis to the middle axis, k ~ Bin(pop, q).
+                  tail: float, axis: int) -> np.ndarray:
+    """Move k items from `axis` to the axis before it, k ~ Bin(pop, q).
 
-    arr has shape (A, B, C): C donates (population values `values_from`),
-    B receives; the output middle axis grows by the support of k.
+    arr is 3-d; `axis` (1 or 2) donates (population values `values_from`),
+    the axis before it receives and grows by the support of k.
     """
-    a, b, c = arr.shape
-    lo = int(values_from[0])
-    n_hi = int(values_from[-1])
-    k_max = _binom_support(n_hi, q, tail)
-    lgf = _lgf(max(n_hi, 1))
-    out = np.zeros((a, b + k_max, c))
+    _check_pass(arr, values_from, axis, 1)
+    k_max = _binom_support(int(values_from[-1]), q, tail)
+    shape = list(arr.shape)
+    shape[axis - 1] += k_max
     if q <= 0.0:
-        out[:, :b, :] = arr
+        out = np.zeros(shape)
+        out[tuple(slice(0, n) for n in arr.shape)] = arr
         return out
-    logq = math.log(q)
-    log1q = math.log1p(-q)
-    for k in range(k_max + 1):
-        start = max(k - lo, 0, k)  # value >= k and in-window destination
-        if start >= c:
-            break
-        s = np.arange(lo + start, lo + c)
-        coef = np.exp(lgf[s] - lgf[k] - lgf[s - k] + k * logq + (s - k) * log1q)
-        out[:, k:k + b, start - k:c - k] += arr[:, :, start:] * coef
+    weights = _pass_weights(values_from, q, tail)
+    lib = native.load_annealed()
+    if lib is None:
+        # (other, receiver, donor) view; the loop adds along the last two
+        src = np.moveaxis(arr, (axis - 1, axis), (1, 2))
+        a, b, c = src.shape
+        out = np.zeros((a, b + k_max, c))
+        for k, w in enumerate(weights):
+            out[:, k:k + b, :c - k] += src[:, :, k:] * w[k:]
+        return np.moveaxis(out, (1, 2), (axis - 1, axis))
+    src = np.ascontiguousarray(arr, dtype=float)
+    out = np.zeros(shape)
+    lib.sg_convert(src.ctypes.data, out.ctypes.data, math.prod(src.shape[:axis - 1]),
+                   src.shape[axis - 1], shape[axis - 1], src.shape[axis],
+                   math.prod(src.shape[axis + 1:]), weights.ctypes.data,
+                   len(weights))
     return out
 
 
@@ -239,39 +296,40 @@ class AnnealedStep:
     total_mass: float
     mean_c2: float
     mean_c3: float
+    pruned_mass: float = 0.0
 
 
 def _engine_step(arr: np.ndarray, c2_lo: int, c3_lo: int, T: int, N: int,
                  tail: float) -> Tuple[np.ndarray, int, int]:
-    """One full chain step on a window array; returns the unpruned result."""
+    """One full chain step on a window array; returns the unpruned result
+    and its (c2_lo, c3_lo)."""
     n = N - T
-    # pad low sides so thinning and conversion moves stay in-window:
-    # c2 down to 0 (extent is modest), c3 by its per-step support
-    if c2_lo > 0:
-        arr = np.pad(arr, ((0, 0), (c2_lo, 0), (0, 0)))
-        c2_lo = 0
-    c3_hi_val = c3_lo + arr.shape[2] - 1
-    pad3 = min(c3_lo, _binom_support(c3_hi_val, 3.0 / n, tail) + 2)
-    if pad3 > 0:
-        arr = np.pad(arr, ((0, 0), (0, 0), (pad3, 0)))
-        c3_lo -= pad3
-    n1, n2, n3 = arr.shape
-    c2_vals = np.arange(0, n2, dtype=float)
-    c3_vals = np.arange(c3_lo, c3_lo + n3, dtype=float)
-
+    p2 = 1.0 / n
     q2 = (1.0 / n) / (1.0 - 1.0 / n)
     q3 = (3.0 / (2.0 * n)) / (1.0 - 3.0 / (2.0 * n))
+    # pad the low sides by the per-step support so that thinning and
+    # conversion moves stay in-window: c2 by thinning plus 2 -> 1 conversion
+    # plus the split clause, c3 by its touch support
+    c2_hi_val = c2_lo + arr.shape[1] - 1
+    pad2 = min(c2_lo, _binom_support(c2_hi_val, p2, tail)
+               + _binom_support(c2_hi_val, q2, tail) + 1)
+    c3_hi_val = c3_lo + arr.shape[2] - 1
+    pad3 = min(c3_lo, _binom_support(c3_hi_val, 3.0 / n, tail) + 2)
+    if pad2 or pad3:
+        arr = np.pad(arr, ((0, 0), (pad2, 0), (pad3, 0)))
+        c2_lo -= pad2
+        c3_lo -= pad3
+    n1, n2, n3 = arr.shape
+    c2_vals = np.arange(c2_lo, c2_lo + n2, dtype=float)
+    c3_vals = np.arange(c3_lo, c3_lo + n3, dtype=float)
 
     def two_then_one(field, vals2):
-        f = np.transpose(field, (2, 0, 1))                # (c3, c1, c2)
-        f = _thin_pass(f, vals2, 1.0 / n, tail)           # satisfied 2-clauses
-        f = _convert_pass(f, vals2, q2, tail)             # 2 -> 1, c1 grows
-        return np.transpose(f, (1, 2, 0))                 # (c1, c2, c3)
+        f = _thin_pass(field, vals2, p2, tail, axis=1)    # satisfied 2-clauses
+        return _convert_pass(f, vals2, q2, tail, axis=1)  # 2 -> 1, c1 grows
 
     def three_pool(field):
-        f = _thin_pass(field, c3_vals, 3.0 / (2.0 * n), tail)  # satisfied
-        f = _convert_pass(f, c3_vals, q3, tail)           # 3 -> 2, c2 grows
-        return f
+        f = _thin_pass(field, c3_vals, 3.0 / (2.0 * n), tail, axis=2)  # satisfied
+        return _convert_pass(f, c3_vals, q3, tail, axis=2)  # 3 -> 2, c2 grows
 
     out_parts = []
     # unit field: c1 >= 1, survival then consume one unit
@@ -280,33 +338,35 @@ def _engine_step(arr: np.ndarray, c2_lo: int, c3_lo: int, T: int, N: int,
                           ** np.arange(0, n1 - 1))[:, None, None]
         unit = two_then_one(unit, c2_vals)
         out_parts.append(three_pool(unit))
-    # split field, c2 >= 1: remove the split clause, thin the rest,
-    # emit both children (false child gains a unit clause)
+    # split field, c2 >= 1: remove the split clause, thin the rest, emit both
+    # children (false child gains a unit clause).  Row 0 is c2 = 0 or, when
+    # c2_lo > 0, padding, so the populations c2 - 1 start at c2_lo.
     if n2 > 1:
         split = arr[0:1, 1:, :]
-        vals2s = c2_vals[:-1]  # populations after removing the split clause
-        f = two_then_one(split, vals2s)
+        f = two_then_one(split, c2_vals[:-1])
         f = three_pool(f)
         both = np.zeros((f.shape[0] + 1, f.shape[1], f.shape[2]))
         both[:-1] += f
         both[1:] += f
         out_parts.append(both)
-    # split on a 3-clause: the (0, 0, c3) sliver, pointwise rows
+    # split on a 3-clause: the (0, 0, c3) sliver, pointwise rows; it exists
+    # only while the window holds c2 = 0
     sliver_terms: Dict[Tuple[int, int, int], float] = {}
-    for i3 in np.nonzero(arr[0, 0, :])[0]:
+    sliver = arr[0, 0, :] if c2_lo == 0 else np.zeros(0)
+    for i3 in np.nonzero(sliver)[0]:
         c3v = int(c3_lo + i3)
         if c3v == 0:
             continue
         for dest, w in guc_transition_row((0, 0, c3v), T, N, tail):
             key = tuple(dest)
-            sliver_terms[key] = sliver_terms.get(key, 0.0) + w * float(arr[0, 0, i3])
+            sliver_terms[key] = sliver_terms.get(key, 0.0) + w * float(sliver[i3])
 
     o1 = max([p.shape[0] for p in out_parts], default=1)
     o2 = max([p.shape[1] for p in out_parts], default=1)
     o3 = max([p.shape[2] for p in out_parts], default=1)
     if sliver_terms:
         o1 = max(o1, 1 + max(k[0] for k in sliver_terms))
-        o2 = max(o2, 1 + max(k[1] for k in sliver_terms))
+        o2 = max(o2, 1 + max(k[1] for k in sliver_terms) - c2_lo)
         o3 = max(o3, 1 + max(k[2] for k in sliver_terms) - c3_lo)
     out = np.zeros((o1, o2, o3))
     for part in out_parts:
@@ -316,7 +376,7 @@ def _engine_step(arr: np.ndarray, c2_lo: int, c3_lo: int, T: int, N: int,
         i3 = k3 - c3_lo
         if i3 < 0:
             raise AssertionError("sliver destination fell below the c3 padding")
-        out[k1, k2, i3] += w
+        out[k1, k2 - c2_lo, i3] += w
     return out, c2_lo, c3_lo
 
 
@@ -331,8 +391,18 @@ def evolve_branch_counts(alpha0: float, N: int,
     Yields one BranchCountField per depth T (T = 0 included).  Stops at t_max
     (default N-5), or two declining steps after the total mass peaks when
     stop_on_decline is set (the halt regime).  Mass below
-    pruning_threshold x total is dropped each step.
+    pruning_threshold x total is dropped each step and reported as the
+    field's pruned_mass.  Raises ValueError unless N >= 6, alpha0 > 0,
+    0 <= pruning_threshold < 1 and 0 < tail < 1.
     """
+    if N < 6:
+        raise ValueError(f"the annealed chain needs N >= 6 variables, got {N}")
+    if not alpha0 > 0.0:
+        raise ValueError(f"alpha0 must be positive, got {alpha0}")
+    if not 0.0 <= pruning_threshold < 1.0:
+        raise ValueError(f"pruning threshold must lie in [0, 1), got {pruning_threshold}")
+    if not 0.0 < tail < 1.0:
+        raise ValueError(f"binomial tail must lie in (0, 1), got {tail}")
     c3_init = int(round(alpha0 * N))
     if t_max is None:
         t_max = N - 5
@@ -350,17 +420,19 @@ def evolve_branch_counts(alpha0: float, N: int,
         total = out.sum()
         if total <= 0.0:
             break
-        out[out < pruning_threshold * total] = 0.0
-        nzi = np.nonzero(out)
-        if len(nzi[0]) == 0:
+        pruned = out < pruning_threshold * total
+        pruned_mass = float(out.sum(where=pruned))
+        out[pruned] = 0.0
+        live23 = out.any(axis=0)
+        if not live23.any():
             break
-        hi1 = int(nzi[0].max())
-        lo2, hi2 = int(nzi[1].min()), int(nzi[1].max())
-        lo3, hi3 = int(nzi[2].min()), int(nzi[2].max())
-        arr = out[:hi1 + 1, lo2:hi2 + 1, lo3:hi3 + 1].copy()
-        c2_lo = lo2
-        c3_lo = c3_lo + lo3
-        field = BranchCountField(T + 1, arr.copy(), c2_lo, c3_lo)
+        hi1 = int(np.flatnonzero(out.any(axis=(1, 2)))[-1])
+        i2 = np.flatnonzero(live23.any(axis=1))
+        i3 = np.flatnonzero(live23.any(axis=0))
+        arr = out[:hi1 + 1, i2[0]:i2[-1] + 1, i3[0]:i3[-1] + 1].copy()
+        c2_lo += int(i2[0])
+        c3_lo += int(i3[0])
+        field = BranchCountField(T + 1, arr.copy(), c2_lo, c3_lo, pruned_mass)
         yield field
         mass = field.total_mass()
         if stop_on_decline and mass < prev_mass:
@@ -374,8 +446,10 @@ def evolve_branch_counts(alpha0: float, N: int,
 
 def mass_curve(alpha0: float, N: int, pruning_threshold: float = 1e-12,
                **kw) -> List[AnnealedStep]:
-    """Aggregate (T, total mass, mean densities) along the evolution."""
-    return [AnnealedStep(f.T, f.total_mass(), f.mean_c2(), f.mean_c3())
+    """Aggregate (T, total mass, mean densities, pruned mass) along the
+    evolution."""
+    return [AnnealedStep(f.T, f.total_mass(), f.mean_c2(), f.mean_c3(),
+                         f.pruned_mass)
             for f in evolve_branch_counts(alpha0, N, pruning_threshold, **kw)]
 
 

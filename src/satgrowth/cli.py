@@ -202,13 +202,11 @@ def cmd_pde(args) -> int:
 
 
 def cmd_annealed(args) -> int:
-    if args.out:
-        path = report.report_mass_curve(args.out, args.alpha0, args.n_vars,
-                                        args.pruning)
-        print(f"wrote {path}")
     om, t_peak, curve = annealed.annealed_omega_estimate(args.alpha0,
                                                          args.n_vars,
                                                          args.pruning)
+    if args.out:
+        print(f"wrote {report.write_mass_curve(args.out, curve)}")
     print(f"log2(peak mass)/N = {om:.5f} at T = {t_peak} "
           f"(peak mass {curve[t_peak].total_mass:.3f})")
     return 0

@@ -1,13 +1,17 @@
-"""Build-on-first-use loader for the compiled DPLL search kernel.
+"""Build-on-first-use loaders for the compiled kernels.
 
-`dpll_kernel.c` is compiled with the system gcc into a per-user cache
-directory ($XDG_CACHE_HOME/satgrowth, else ~/.cache/satgrowth) under a name
-keyed by a hash of the source and the compile command, and loaded with
-ctypes.  gcc writes a temporary file in the cache directory that is then
-published with os.replace, so processes compiling at the same time never
-load a half-written library.  When no compiler is found, the compile fails
-or the cache is not writable, `load()` returns None after one warning per
-process, and the solver runs its Python loop.
+Two C sources ship with the package: `dpll_kernel.c`, the DPLL search loop
+(`load()`), and `annealed_kernel.c`, the annealed chain's shift-and-add
+passes (`load_annealed()`).  Each is compiled with the system gcc, the first
+time a process asks for it, into a per-user cache directory
+($XDG_CACHE_HOME/satgrowth, else ~/.cache/satgrowth) under a name keyed by a
+hash of the source and the compile command, and loaded with ctypes.  gcc
+writes a temporary file in the cache directory that is then published with
+os.replace, so processes compiling at the same time never load a
+half-written library; after publishing, older builds of the same kernel are
+removed.  When no compiler is found, the compile fails or the cache is not
+writable, the loader returns None after one warning per process and kernel,
+and the caller runs its Python reference code.
 """
 
 import ctypes
@@ -21,6 +25,7 @@ import warnings
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("dpll_kernel.c")
+ANNEALED_SOURCE = Path(__file__).with_name("annealed_kernel.c")
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 HEURISTIC_CODES = {"UC": 0, "GUC": 1, "SC1": 2}
@@ -41,40 +46,60 @@ def _cache_dir() -> Path:
     return Path(base) / "satgrowth"
 
 
-def _build(cc: str) -> Path:
+def _build(cc: str, source_path: Path) -> Path:
     """Path of the compiled kernel, compiling it if the cache lacks it."""
-    source = SOURCE.read_bytes()
+    source = source_path.read_bytes()
     key = hashlib.blake2b(source + repr((os.path.basename(cc),) + CFLAGS).encode(),
                           digest_size=8).hexdigest()
-    target = _cache_dir() / f"dpll_kernel-{key}.so"
+    target = _cache_dir() / f"{source_path.stem}-{key}.so"
     if target.exists():
         return target
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".dpll_kernel-",
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{source_path.stem}-",
                                suffix=".so")
     os.close(fd)
     try:
-        subprocess.run([cc, *CFLAGS, "-o", tmp, str(SOURCE)], check=True,
+        subprocess.run([cc, *CFLAGS, "-o", tmp, str(source_path)], check=True,
                        capture_output=True, text=True, timeout=300)
         os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    _prune_stale(target, source_path.stem)
     return target
+
+
+def _prune_stale(target: Path, stem: str) -> None:
+    """Best effort: remove the builds of older sources of the same kernel."""
+    for old in target.parent.glob(f"{stem}-*.so"):
+        if old != target:
+            try:
+                old.unlink()
+            except OSError:
+                pass
+
+
+def _open(source_path: Path, fallback: str):
+    """The kernel built from `source_path` as a ctypes library, or None after
+    a warning that names the `fallback` code path."""
+    cc = _compiler()
+    if cc is None:
+        return _fallback(fallback, "no C compiler (gcc) found")
+    try:
+        return ctypes.CDLL(str(_build(cc, source_path)))
+    except subprocess.CalledProcessError as exc:
+        return _fallback(fallback, f"compiling {source_path.name} failed: "
+                                   f"{exc.stderr.strip()}")
+    except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
+        return _fallback(fallback, f"cannot build or load {source_path.name}: {exc}")
 
 
 @functools.lru_cache(maxsize=None)
 def load():
-    """The loaded kernel library, or None when it cannot be built here."""
-    cc = _compiler()
-    if cc is None:
-        return _fallback("no C compiler (gcc) found")
-    try:
-        lib = ctypes.CDLL(str(_build(cc)))
-    except subprocess.CalledProcessError as exc:
-        return _fallback(f"compiling {SOURCE.name} failed: {exc.stderr.strip()}")
-    except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
-        return _fallback(f"cannot build or load {SOURCE.name}: {exc}")
+    """The loaded DPLL kernel library, or None when it cannot be built here."""
+    lib = _open(SOURCE, "the Python DPLL loop")
+    if lib is None:
+        return None
     lib.sg_solve.argtypes = [
         ctypes.c_int32, ctypes.c_int32, ctypes.c_void_p, ctypes.c_void_p,
         ctypes.c_int32, ctypes.c_uint64, ctypes.c_int32,
@@ -89,9 +114,24 @@ def load():
     return lib
 
 
-def _fallback(reason: str):
-    warnings.warn(f"satgrowth: using the Python DPLL loop; {reason}",
-                  RuntimeWarning, stacklevel=3)
+@functools.lru_cache(maxsize=None)
+def load_annealed():
+    """The loaded annealed-pass kernel library, or None when it cannot be
+    built here."""
+    lib = _open(ANNEALED_SOURCE, "the numpy annealed passes")
+    if lib is None:
+        return None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    lib.sg_thin.argtypes = [ptr, ptr, i64, i64, i64, ptr, i64]
+    lib.sg_thin.restype = None
+    lib.sg_convert.argtypes = [ptr, ptr, i64, i64, i64, i64, i64, ptr, i64]
+    lib.sg_convert.restype = None
+    return lib
+
+
+def _fallback(code_path: str, reason: str):
+    warnings.warn(f"satgrowth: using {code_path}; {reason}",
+                  RuntimeWarning, stacklevel=4)
     return None
 
 

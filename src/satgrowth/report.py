@@ -123,10 +123,17 @@ def report_surface(out_path: str, alpha0: float, t: float,
 
 def report_mass_curve(out_path: str, alpha0: float, n_vars: int,
                       pruning_threshold: float = 1e-12) -> str:
-    """Annealed-chain mass curve: total branch mass and mean clause counts."""
-    curve = annealed.mass_curve(alpha0, n_vars, pruning_threshold)
-    return _write_csv(out_path, ["T", "total_mass", "mean_c2", "mean_c3"],
-                      [[st.T, st.total_mass, st.mean_c2, st.mean_c3]
+    """Annealed-chain mass curve: total branch mass, mean clause counts and
+    the mass pruned at each step."""
+    return write_mass_curve(out_path,
+                            annealed.mass_curve(alpha0, n_vars, pruning_threshold))
+
+
+def write_mass_curve(out_path: str, curve: Sequence[annealed.AnnealedStep]) -> str:
+    """The CSV of report_mass_curve for an already computed curve."""
+    return _write_csv(out_path,
+                      ["T", "total_mass", "mean_c2", "mean_c3", "pruned_mass"],
+                      [[st.T, st.total_mass, st.mean_c2, st.mean_c3, st.pruned_mass]
                        for st in curve])
 
 

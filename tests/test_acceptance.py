@@ -1,9 +1,9 @@
 """Acceptance suite: every criterion prints one PASS/FAIL line.
 
 Heavy statistical criteria use fixed seeds so outcomes are reproducible.
-Full-suite wall time is about 3 minutes on two cores (190-214 s measured
-with the compiled solver kernel), most of it in the tree-size ensembles and
-the annealed chain.  The asymptotic-scale error bars of the source
+Full-suite wall time is about 2 minutes on two cores (112 s measured
+with the compiled solver and annealed-pass kernels), most of it in the
+tree-size ensembles.  The asymptotic-scale error bars of the source
 experiments are out of reach at desk scale; the ensemble criteria below use
 widened bands around the reference values instead.
 """

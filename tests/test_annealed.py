@@ -1,9 +1,18 @@
+"""Annealed clause-vector chain: transition rows, the vectorized engine,
+golden mass curves, and the compiled passes against the numpy reference.
+
+The differential tests need gcc to build `annealed_kernel.c` and skip
+without it; with gcc present, a kernel that fails to build fails them.
+"""
+
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from satgrowth import annealed, growth
+from satgrowth import annealed, growth, native
 from satgrowth.annealed import (BranchCountField, annealed_omega_estimate,
                                 guc_transition_row, mass_curve)
 from satgrowth.cnf import ClauseVector
@@ -79,17 +88,54 @@ def test_row_argument_validation():
         guc_transition_row((-1, 0, 10), 0, 20)
 
 
-def test_engine_matches_rows():
-    for cv in ((0, 0, 120), (0, 5, 40), (3, 7, 50), (2, 12, 80), (1, 0, 0)):
-        arr = np.zeros((cv[0] + 1, 1, 1))
-        arr[cv[0], 0, 0] = 1.0
-        out, c2lo, c3lo = annealed._engine_step(arr, cv[1], cv[2], 2, 40, 1e-15)
-        field = BranchCountField(3, out, c2lo, c3lo)
-        row = guc_transition_row(cv, 2, 40, 1e-15)
-        assert row, cv
-        for dest, w in row:
-            assert abs(field.get(dest) - w) < 1e-12
-        assert abs(field.total_mass() - sum(w for _, w in row)) < 1e-12
+def _backends():
+    """("kernel", "numpy") with gcc on PATH, else ("numpy",)."""
+    return ("numpy",) if native._compiler() is None else ("kernel", "numpy")
+
+
+def _numpy_passes(monkeypatch):
+    """Within the context, the chain runs the numpy passes."""
+    monkeypatch.setattr(native, "load_annealed", lambda: None)
+
+
+def test_engine_matches_rows(monkeypatch):
+    # (1, 40, 100) and (0, 45, 100) sit high enough in C2 that the padded
+    # window does not reach C2 = 0
+    cases = ((0, 0, 120), (0, 5, 40), (3, 7, 50), (2, 12, 80), (1, 0, 0),
+             (1, 40, 100), (0, 45, 100))
+    for backend in _backends():
+        with monkeypatch.context() as m:
+            if backend == "numpy":
+                _numpy_passes(m)
+            for cv in cases:
+                arr = np.zeros((cv[0] + 1, 1, 1))
+                arr[cv[0], 0, 0] = 1.0
+                out, c2lo, c3lo = annealed._engine_step(arr, cv[1], cv[2], 2, 40,
+                                                        1e-15)
+                assert (c2lo > 0) == (cv[1] >= 40), (backend, cv, c2lo)
+                field = BranchCountField(3, out, c2lo, c3lo)
+                row = guc_transition_row(cv, 2, 40, 1e-15)
+                assert row, cv
+                for dest, w in row:
+                    assert abs(field.get(dest) - w) < 1e-12, (backend, cv, dest)
+                assert abs(field.total_mass() - sum(w for _, w in row)) < 1e-12
+
+
+def test_trimmed_padding_matches_padding_to_zero(monkeypatch):
+    # a window high in C2 is padded by the step's support only; the same
+    # window padded down to C2 = 0 first gives the same cells, bit for bit,
+    # and nothing below them
+    arr = np.random.default_rng(5).random((3, 6, 8))
+    for backend in _backends():
+        with monkeypatch.context() as m:
+            if backend == "numpy":
+                _numpy_passes(m)
+            out, c2lo, c3lo = annealed._engine_step(arr, 40, 200, 2, 60, 1e-14)
+            wide = np.pad(arr, ((0, 0), (40, 0), (0, 0)))
+            ref, ref_c2lo, ref_c3lo = annealed._engine_step(wide, 0, 200, 2, 60, 1e-14)
+        assert 0 < c2lo < 40 and ref_c2lo == 0 and c3lo == ref_c3lo, backend
+        assert not ref[:, :c2lo].any(), backend
+        assert np.array_equal(ref[:, c2lo:], out), backend
 
 
 def test_field_accessors():
@@ -137,3 +183,149 @@ def test_marginals_track_pde_densities():
         smp = min(series.samples, key=lambda s: abs(s.t - t))
         assert abs(st.mean_c2 / 75 - smp.c2_star) / smp.c2_star < 0.15
         assert abs(st.mean_c3 / 75 - smp.c3_star) / smp.c3_star < 0.15
+
+
+def _digest(obj) -> str:
+    return hashlib.blake2b(repr(obj).encode(), digest_size=16).hexdigest()
+
+
+def _rows(curve):
+    return [(st.T, st.total_mass, st.mean_c2, st.mean_c3) for st in curve]
+
+
+# Golden values of the chain as the numpy engine computed it before the
+# compiled passes and the support-sized C2 padding: blake2b digests of the
+# repr of the (T, total_mass, mean_c2, mean_c3) rows.  Every float must stay
+# identical on both backends, so any change to the chain's arithmetic fails.
+_GOLDEN_CURVES = {(10.0, 40): "5d9a0b3e375b8d428acca4461da07cf3",
+                  (20.0, 30): "bead1d31382adbb4165e4e388a0c5e16"}
+
+
+def test_chain_golden_values():
+    for (alpha0, n), want in _GOLDEN_CURVES.items():
+        assert _digest(_rows(mass_curve(alpha0, n))) == want, (alpha0, n)
+    om, t_peak, curve = annealed_omega_estimate(10.0, 60)
+    assert (om, t_peak) == (0.06601952766222603, 10)
+    assert _digest(_rows(curve)) == "b6134d9bb07ccc832615fdb01fc0422a"
+
+
+def test_chain_rejects_bad_inputs():
+    good = dict(alpha0=10.0, N=30)
+    for bad in (dict(N=5), dict(N=0), dict(N=-3), dict(alpha0=0.0),
+                dict(alpha0=-1.0), dict(alpha0=math.nan),
+                dict(pruning_threshold=1.0), dict(pruning_threshold=2.0),
+                dict(pruning_threshold=-1e-12), dict(tail=0.0), dict(tail=1.0)):
+        with pytest.raises(ValueError):
+            next(annealed.evolve_branch_counts(**{**good, **bad}))
+    with pytest.raises(ValueError):
+        annealed_omega_estimate(10.0, 3)
+    with pytest.raises(ValueError):
+        mass_curve(10.0, 30, pruning_threshold=2.0)
+    # N = 6 is the smallest chain: T = 0 and one step
+    assert [st.T for st in mass_curve(10.0, 6)] == [0, 1]
+    # the passes check the window against its populations before any kernel
+    # reads it
+    arr = np.ones((2, 3, 4))
+    for fn, values, axis in ((annealed._thin_pass, np.arange(3.0), 2),
+                             (annealed._thin_pass, np.arange(4.0), 3),
+                             (annealed._convert_pass, np.arange(2.0), 0),
+                             (annealed._convert_pass, np.arange(5.0), 2)):
+        with pytest.raises(ValueError):
+            fn(arr, values, 0.1, 1e-14, axis)
+    with pytest.raises(ValueError):
+        annealed._thin_pass(np.ones((3, 4)), np.arange(4.0), 0.1, 1e-14, 1)
+
+
+def test_pruned_mass_accounting():
+    # nothing is pruned at threshold 0 (a short chain: without pruning the
+    # window keeps every underflowing tail cell)
+    curve = mass_curve(10.0, 10, pruning_threshold=0.0, t_max=3)
+    assert len(curve) == 4 and all(st.pruned_mass == 0.0 for st in curve)
+    # at the default 1e-12 the N = 60 chain drops about 9e-8 of its peak
+    # mass in total, at 1e-9 about 7e-5: the bound behind
+    # test_pruning_threshold_insensitive
+    for threshold, bound in ((1e-12, 1e-6), (1e-9, 1e-3)):
+        curve = mass_curve(10.0, 60, pruning_threshold=threshold)
+        assert curve[0].pruned_mass == 0.0
+        assert all(st.pruned_mass >= 0.0 for st in curve)
+        relative = sum(st.pruned_mass for st in curve) / max(
+            st.total_mass for st in curve)
+        print(f"pruning {threshold:g}: pruned mass / peak mass = {relative:.3g}")
+        assert 0.0 < relative < bound, (threshold, relative)
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    if native._compiler() is None:
+        pytest.skip("no C compiler (gcc) on PATH: the annealed kernel cannot be built")
+    lib = native.load_annealed()
+    assert lib is not None, "gcc is present but the annealed kernel did not build"
+    return lib
+
+
+def _chain(alpha0, n, **kw):
+    return [(f.T, f.c2_lo, f.c3_lo, f.pruned_mass, f.array)
+            for f in annealed.evolve_branch_counts(alpha0, n, **kw)]
+
+
+def _assert_same_chain(got, want, label):
+    assert [g[:4] for g in got] == [w[:4] for w in want], label
+    for g, w in zip(got, want):
+        assert np.array_equal(g[4], w[4]), (label, g[0])
+
+
+# the windows leave C2 = 0 in every case but (4.3, 20)
+_DIFF_CASES = ((4.3, 20, {}), (4.3, 75, dict(t_max=8)), (10.0, 20, {}),
+               (10.0, 75, dict(t_max=8)), (20.0, 40, dict(t_max=4)))
+
+
+def test_kernel_chains_match_numpy(kernel, monkeypatch):
+    compiled = [_chain(a0, n, **kw) for a0, n, kw in _DIFF_CASES]
+    _numpy_passes(monkeypatch)
+    for (a0, n, kw), got in zip(_DIFF_CASES, compiled):
+        _assert_same_chain(got, _chain(a0, n, **kw), (a0, n))
+
+
+def test_kernel_passes_match_numpy(kernel, monkeypatch):
+    rng = np.random.default_rng(2024)
+    base = rng.random((6, 11, 14))
+    arrays = (base,                               # contiguous
+              base[:, ::2, :],                    # strided views
+              base.transpose(2, 0, 1)[1:, :, 3:],
+              base[1:4, 2:9, 5:7],
+              base[:2, :1, :3])                   # narrower than any support
+    cases = []
+    for arr in arrays:
+        for lo in (0, 3, 250):
+            for p in (-0.2, 0.0, 0.004, 0.05, 0.3, 0.9):
+                for axis in (0, 1, 2):
+                    values = np.arange(lo, lo + arr.shape[axis], dtype=float)
+                    cases.append((annealed._thin_pass, arr, values, p, axis))
+                    if axis:
+                        cases.append((annealed._convert_pass, arr, values, p, axis))
+    compiled = [fn(arr, values, p, 1e-14, axis) for fn, arr, values, p, axis in cases]
+    _numpy_passes(monkeypatch)
+    narrow = 0
+    for (fn, arr, values, p, axis), got in zip(cases, compiled):
+        want = fn(arr, values, p, 1e-14, axis)
+        assert got.shape == want.shape and np.array_equal(got, want), \
+            (fn.__name__, arr.shape, values[0], p, axis)
+        if p > 0 and annealed._binom_support(int(values[-1]), p, 1e-14) >= len(values):
+            narrow += 1
+    assert narrow > 50
+
+
+def test_fallback_without_compiler(monkeypatch):
+    want = _chain(10.0, 30)
+    native.load_annealed.cache_clear()
+    monkeypatch.setattr(native, "_compiler", lambda: None)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _chain(10.0, 30)
+    finally:
+        native.load_annealed.cache_clear()
+    _assert_same_chain(got, want, "no compiler")
+    assert len(caught) == 1, [str(w.message) for w in caught]
+    message = str(caught[0].message)
+    assert "numpy annealed passes" in message and "no C compiler" in message

@@ -172,3 +172,22 @@ def test_concurrent_cold_cache_builds(kernel, tmp_path):
     assert len({out for out, _ in outs}) == 1
     names = [f.name for f in (tmp_path / "satgrowth").iterdir()]
     assert len(names) == 1 and names[0].startswith("dpll_kernel-"), names
+
+
+def test_rebuilds_prune_stale_kernels(kernel, tmp_path, monkeypatch):
+    # building an edited source publishes a new library and removes the
+    # build of the old source: one file per kernel remains in the cache
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    cc = native._compiler()
+    edited = tmp_path / "edited"
+    edited.mkdir()
+    for source in (native.SOURCE, native.ANNEALED_SOURCE):
+        first = native._build(cc, source)
+        copy = edited / source.name
+        copy.write_bytes(source.read_bytes() + b"\n/* edited */\n")
+        second = native._build(cc, copy)
+        assert first != second and second.exists() and not first.exists()
+        assert native._build(cc, copy) == second
+    names = sorted(f.name for f in (tmp_path / "cache" / "satgrowth").iterdir())
+    assert len(names) == 2, names
+    assert names[0].startswith("annealed_kernel-") and names[1].startswith("dpll_kernel-")

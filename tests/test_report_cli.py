@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from satgrowth import cli, cnf, report
+from satgrowth import annealed, cli, cnf, report
 from satgrowth.ensemble import EnsembleConfig, extrapolate_omega, run_ensemble
 
 
@@ -79,6 +79,16 @@ def test_cli_error_exit(tmp_path, capsys):
         path.write_text(text)
         assert cli.main(["solve", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+    # annealed chains that cannot run: too few variables, an empty clause
+    # ratio, a pruning threshold that removes everything
+    for argv in (["--n-vars", "0"], ["--n-vars", "3"], ["--n-vars", "5"],
+                 ["--n-vars", "30", "--pruning", "2"],
+                 ["--n-vars", "30", "--pruning", "-1"]):
+        assert cli.main(["annealed", "--alpha0", "10", *argv]) == 1, argv
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == "", argv
+    assert cli.main(["annealed", "--alpha0", "0", "--n-vars", "30"]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_ode_pde_annealed(capsys):
@@ -88,6 +98,30 @@ def test_cli_ode_pde_annealed(capsys):
     assert "G: t =" in capsys.readouterr().out
     assert cli.main(["annealed", "--alpha0", "10", "--n-vars", "30"]) == 0
     assert "log2(peak mass)/N" in capsys.readouterr().out
+
+
+def test_cli_annealed_out_runs_chain_once(tmp_path, capsys, monkeypatch):
+    runs = []
+    chain = annealed.evolve_branch_counts
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return chain(*args, **kwargs)
+    monkeypatch.setattr(annealed, "evolve_branch_counts", counted)
+    path = tmp_path / "mass.csv"
+    assert cli.main(["annealed", "--alpha0", "10", "--n-vars", "30",
+                     "--out", str(path)]) == 0
+    assert len(runs) == 1
+    assert capsys.readouterr().out == (
+        f"wrote {path}\nlog2(peak mass)/N = 0.09375 at T = 6 (peak mass 7.025)\n")
+    lines = path.read_bytes().split(b"\r\n")
+    assert lines[0] == b"T,total_mass,mean_c2,mean_c3,pruned_mass"
+    assert lines[1] == b"0,1,0,300,0"
+    # without the pruned_mass column the file is byte for byte the one
+    # written before that column was added
+    first4 = b"\r\n".join(b",".join(line.split(b",")[:4]) for line in lines)
+    assert _digest(first4) == \
+        "a3fff550b13c6491a54f99de7b76a1ff"
 
 
 def test_config_file_parsing(tmp_path, capsys):
@@ -142,7 +176,8 @@ def test_report_cloud_and_mass(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) > 3
     mass = report.report_mass_curve(str(tmp_path / "mass.csv"), 10.0, 30)
-    assert _read_header(mass) == ["T", "total_mass", "mean_c2", "mean_c3"]
+    assert _read_header(mass) == ["T", "total_mass", "mean_c2", "mean_c3",
+                                  "pruned_mass"]
 
 
 def test_report_surface(tmp_path):
