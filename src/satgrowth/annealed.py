@@ -34,15 +34,18 @@ up the axis before (k clauses lose a literal: 2 -> 1 along C2 into C1,
 3 -> 2 along C3 into C2).  Before a step the window's low C2 and C3 sides
 are padded by the per-step binomial support (for C2: thinning plus 2 -> 1
 conversion plus the split clause), so no move leaves the window; the
-(0, 0, C3) split-on-a-3-clause sliver is evaluated row by row with
-guc_transition_row while the window holds C2 = 0.
+(0, 0, C3) split-on-a-3-clause sliver, which exists while the window holds
+C2 = 0, is summed as dense numpy rows (_sliver_rows), bit-identical to the
+guc_transition_row terms.
 
 Backend: the binomial weight tables are always computed here with numpy
 (_pass_weights).  The multiply-adds run in the C kernel annealed_kernel.c,
-which native.load_annealed() builds on the first step of a process, or, when
-it cannot be built, in the numpy loops of _thin_pass/_convert_pass, which
-are the readable reference.  Both add each cell's terms in the same order,
-so fields, mass curves and omegas are bit-identical across backends.
+which native.load_annealed() builds on the first step of a process and
+binds to its AVX2 entry points when the CPU has AVX2, else to its baseline
+ones; when the kernel cannot be built they run in the numpy loops of
+_thin_pass/_convert_pass, which are the readable reference.  All three add
+each cell's terms in the same order, so fields, mass curves and omegas are
+bit-identical across backends.
 """
 
 import math
@@ -240,8 +243,8 @@ def _thin_pass(arr: np.ndarray, values: np.ndarray, p: float, tail: float,
     if p <= 0.0:
         return arr.copy()
     weights = _pass_weights(values, p, tail)
-    lib = native.load_annealed()
-    if lib is None:
+    kernel = native.load_annealed()
+    if kernel is None:
         src = np.moveaxis(arr, axis, -1)
         out = np.zeros_like(src)
         c = src.shape[-1]
@@ -250,7 +253,7 @@ def _thin_pass(arr: np.ndarray, values: np.ndarray, p: float, tail: float,
         return np.moveaxis(out, -1, axis)
     src = np.ascontiguousarray(arr, dtype=float)
     out = np.zeros(src.shape)
-    lib.sg_thin(src.ctypes.data, out.ctypes.data, math.prod(src.shape[:axis]),
+    kernel.thin(src.ctypes.data, out.ctypes.data, math.prod(src.shape[:axis]),
                 src.shape[axis], math.prod(src.shape[axis + 1:]),
                 weights.ctypes.data, len(weights))
     return out
@@ -272,8 +275,8 @@ def _convert_pass(arr: np.ndarray, values_from: np.ndarray, q: float,
         out[tuple(slice(0, n) for n in arr.shape)] = arr
         return out
     weights = _pass_weights(values_from, q, tail)
-    lib = native.load_annealed()
-    if lib is None:
+    kernel = native.load_annealed()
+    if kernel is None:
         # (other, receiver, donor) view; the loop adds along the last two
         src = np.moveaxis(arr, (axis - 1, axis), (1, 2))
         a, b, c = src.shape
@@ -283,7 +286,7 @@ def _convert_pass(arr: np.ndarray, values_from: np.ndarray, q: float,
         return np.moveaxis(out, (1, 2), (axis - 1, axis))
     src = np.ascontiguousarray(arr, dtype=float)
     out = np.zeros(shape)
-    lib.sg_convert(src.ctypes.data, out.ctypes.data, math.prod(src.shape[:axis - 1]),
+    kernel.convert(src.ctypes.data, out.ctypes.data, math.prod(src.shape[:axis - 1]),
                    src.shape[axis - 1], shape[axis - 1], src.shape[axis],
                    math.prod(src.shape[axis + 1:]), weights.ctypes.data,
                    len(weights))
@@ -297,6 +300,52 @@ class AnnealedStep:
     mean_c2: float
     mean_c3: float
     pruned_mass: float = 0.0
+
+
+def _sliver_rows(sliver: np.ndarray, c3_lo: int, n: int,
+                 tail: float) -> Tuple[np.ndarray, int, int]:
+    """The split-on-a-3-clause rows of the (0, 0, C3) cells `sliver` (C3 =
+    c3_lo + index), with n free variables.
+
+    Returns (acc, hi2, hi3): acc[d3, c2] is the mass the rows send to
+    (0, c2, c3_lo + d3), and hi2, hi3 bound the cells that a row reaches
+    with weight > 0 (0, 0 when none does), so that a product that underflows
+    to 0 still widens the window.  Each row equals guc_transition_row's, bit
+    for bit: cell (c2, C3 - 1 - m) gets A[m, c2 - 1] + A[m, c2], with
+    A[m, w2] = Bin(C3 - 1, 3/n)(m) * Bin(m, 1/2)(w2) (the true child keeps
+    w2 new 2-clauses, the false one w2 + 1), and the rows are added in
+    ascending C3, as the dict of guc_transition_row terms was.  The caller
+    pads the low side by the rows' support, as _engine_step does; a row
+    that would reach below index 0 raises AssertionError.
+    """
+    p = 3.0 / n
+    idx = [int(i) for i in np.flatnonzero(sliver) if c3_lo + i >= 1]
+    if not idx:
+        return np.zeros((0, 0)), 0, 0
+    # the support grows with the pool, so the last row is the widest;
+    # half[m, w2] is the Bin(m, 1/2) pmf, zero past m
+    m_top = _binom_support(c3_lo + idx[-1] - 1, p, tail)
+    half = np.zeros((m_top + 1, m_top + 1))
+    for m in range(m_top + 1):
+        half[m, :m + 1] = _binom_pmf(m, 0.5, 0, m)
+    acc = np.zeros((len(sliver), m_top + 2))
+    hi2 = hi3 = 0
+    for i3 in idx:
+        pool = c3_lo + i3 - 1
+        m_hi = _binom_support(pool, p, tail)
+        a = np.zeros((m_hi + 1, m_hi + 3))
+        a[:, 1:-1] = (_binom_pmf(pool, p, 0, m_hi)[:, None]
+                      * half[:m_hi + 1, :m_hi + 1])
+        lo = i3 - 1 - m_hi
+        rows = (a[:, :-1] + a[:, 1:])[::-1]    # rows[k]: C3 index lo + k
+        if lo < 0:
+            raise AssertionError("sliver destination fell below the c3 padding")
+        acc[lo:i3, :m_hi + 2] += rows * float(sliver[i3])
+        reached = rows > 0
+        if reached.any():
+            hi2 = max(hi2, int(np.flatnonzero(reached.any(axis=0))[-1]) + 1)
+            hi3 = max(hi3, lo + int(np.flatnonzero(reached.any(axis=1))[-1]) + 1)
+    return acc, hi2, hi3
 
 
 def _engine_step(arr: np.ndarray, c2_lo: int, c3_lo: int, T: int, N: int,
@@ -349,34 +398,19 @@ def _engine_step(arr: np.ndarray, c2_lo: int, c3_lo: int, T: int, N: int,
         both[:-1] += f
         both[1:] += f
         out_parts.append(both)
-    # split on a 3-clause: the (0, 0, c3) sliver, pointwise rows; it exists
-    # only while the window holds c2 = 0
-    sliver_terms: Dict[Tuple[int, int, int], float] = {}
-    sliver = arr[0, 0, :] if c2_lo == 0 else np.zeros(0)
-    for i3 in np.nonzero(sliver)[0]:
-        c3v = int(c3_lo + i3)
-        if c3v == 0:
-            continue
-        for dest, w in guc_transition_row((0, 0, c3v), T, N, tail):
-            key = tuple(dest)
-            sliver_terms[key] = sliver_terms.get(key, 0.0) + w * float(sliver[i3])
-
+    # split on a 3-clause: the (0, 0, c3) sliver; it exists only while the
+    # window holds c2 = 0
+    sliver, hi2, hi3 = (_sliver_rows(arr[0, 0, :], c3_lo, n, tail)
+                        if c2_lo == 0 else (None, 0, 0))
     o1 = max([p.shape[0] for p in out_parts], default=1)
     o2 = max([p.shape[1] for p in out_parts], default=1)
     o3 = max([p.shape[2] for p in out_parts], default=1)
-    if sliver_terms:
-        o1 = max(o1, 1 + max(k[0] for k in sliver_terms))
-        o2 = max(o2, 1 + max(k[1] for k in sliver_terms) - c2_lo)
-        o3 = max(o3, 1 + max(k[2] for k in sliver_terms) - c3_lo)
-    out = np.zeros((o1, o2, o3))
+    out = np.zeros((o1, max(o2, hi2), max(o3, hi3)))
     for part in out_parts:
         s = part.shape
         out[:s[0], :s[1], :s[2]] += part
-    for (k1, k2, k3), w in sliver_terms.items():
-        i3 = k3 - c3_lo
-        if i3 < 0:
-            raise AssertionError("sliver destination fell below the c3 padding")
-        out[k1, k2 - c2_lo, i3] += w
+    if hi3:
+        out[0, :hi2, :hi3] += sliver[:hi3, :hi2].T
     return out, c2_lo, c3_lo
 
 

@@ -28,9 +28,10 @@
    s points at the source row of the terms j_lo; j_step is the offset to the
    source of the next j (0 when items leave the axis, minus one slab when
    they also move one step up the receiving axis). */
-static void dest_row(double *restrict d, const double *restrict s,
-                     int64_t j_step, int64_t len, int64_t inner,
-                     const double *restrict w, int64_t j_lo, int64_t j_hi)
+static inline __attribute__((always_inline)) void
+dest_row(double *restrict d, const double *restrict s, int64_t j_step,
+         int64_t len, int64_t inner, const double *restrict w, int64_t j_lo,
+         int64_t j_hi)
 {
     if (inner == 1) {
         int64_t r = 0;
@@ -87,8 +88,9 @@ static void dest_row(double *restrict d, const double *restrict s,
 
 /* Thinning: src and dst are (outer, len, inner); dst[o, i - j, x] =
    sum over j of src[o, i, x] * w[j, i]. */
-void sg_thin(const double *src, double *dst, int64_t outer, int64_t len,
-             int64_t inner, const double *w, int64_t nw)
+static inline __attribute__((always_inline)) void
+thin(const double *src, double *dst, int64_t outer, int64_t len,
+     int64_t inner, const double *w, int64_t nw)
 {
     int64_t slab = len * inner;
     for (int64_t o = 0; o < outer; o++)
@@ -98,9 +100,10 @@ void sg_thin(const double *src, double *dst, int64_t outer, int64_t len,
 /* Conversion: src is (outer, recv, len, inner), dst (outer, recv_out, len,
    inner) with recv_out >= recv + nw - 1; dst[o, y + k, i - k, x] = sum over
    k of src[o, y, i, x] * w[k, i]. */
-void sg_convert(const double *src, double *dst, int64_t outer, int64_t recv,
-                int64_t recv_out, int64_t len, int64_t inner, const double *w,
-                int64_t nw)
+static inline __attribute__((always_inline)) void
+convert(const double *src, double *dst, int64_t outer, int64_t recv,
+        int64_t recv_out, int64_t len, int64_t inner, const double *w,
+        int64_t nw)
 {
     int64_t slab = len * inner;
     for (int64_t o = 0; o < outer; o++)
@@ -114,3 +117,44 @@ void sg_convert(const double *src, double *dst, int64_t outer, int64_t recv,
                      k_lo, k_hi);
         }
 }
+
+/* The exported entry points: the same loops compiled for the baseline
+   instruction set and, on x86-64, for AVX2.  The AVX2 pair only widens the
+   vectors that carry a block of destination cells; the lanes run across
+   cells, never across j, so every cell still adds its terms in ascending j,
+   one rounded multiply and one rounded add each (target "avx2" enables no
+   fused multiply-add, and -ffp-contract=off forbids contracting anyway).
+   Both pairs give the same bits.  native.py binds the AVX2 pair when
+   sg_has_avx2() says the CPU runs it. */
+#define THIN_ARGS const double *src, double *dst, int64_t outer, int64_t len, \
+    int64_t inner, const double *w, int64_t nw
+#define CONVERT_ARGS const double *src, double *dst, int64_t outer, \
+    int64_t recv, int64_t recv_out, int64_t len, int64_t inner, \
+    const double *w, int64_t nw
+
+void sg_thin(THIN_ARGS) { thin(src, dst, outer, len, inner, w, nw); }
+
+void sg_convert(CONVERT_ARGS)
+{
+    convert(src, dst, outer, recv, recv_out, len, inner, w, nw);
+}
+
+#if defined(__x86_64__)
+__attribute__((target("avx2"))) void sg_thin_avx2(THIN_ARGS)
+{
+    thin(src, dst, outer, len, inner, w, nw);
+}
+
+__attribute__((target("avx2"))) void sg_convert_avx2(CONVERT_ARGS)
+{
+    convert(src, dst, outer, recv, recv_out, len, inner, w, nw);
+}
+
+int sg_has_avx2(void)
+{
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+}
+#else
+int sg_has_avx2(void) { return 0; }
+#endif

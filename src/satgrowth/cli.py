@@ -207,8 +207,10 @@ def cmd_annealed(args) -> int:
                                                          args.pruning)
     if args.out:
         print(f"wrote {report.write_mass_curve(args.out, curve)}")
-    print(f"log2(peak mass)/N = {om:.5f} at T = {t_peak} "
-          f"(peak mass {curve[t_peak].total_mass:.3f})")
+    peak = curve[t_peak].total_mass
+    print(f"log2(peak mass)/N = {om:.5f} at T = {t_peak} (peak mass {peak:.3f})")
+    print(f"pruned mass / peak mass = "
+          f"{sum(st.pruned_mass for st in curve) / peak:.3g}")
     return 0
 
 

@@ -9,9 +9,13 @@ hash of the source and the compile command, and loaded with ctypes.  gcc
 writes a temporary file in the cache directory that is then published with
 os.replace, so processes compiling at the same time never load a
 half-written library; after publishing, older builds of the same kernel are
-removed.  When no compiler is found, the compile fails or the cache is not
-writable, the loader returns None after one warning per process and kernel,
-and the caller runs its Python reference code.
+removed, and a loader that finds its cached build removed that way (by
+another checkout's build) builds it once more.  load_annealed() binds the
+annealed kernel's AVX2 entry points when the CPU has AVX2, else its
+baseline ones; both give the same bits.  When no compiler is found, the
+compile fails or the cache is not writable, the loader returns None after
+one warning per process and kernel, and the caller runs its Python
+reference code.
 """
 
 import ctypes
@@ -23,6 +27,7 @@ import subprocess
 import tempfile
 import warnings
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 SOURCE = Path(__file__).with_name("dpll_kernel.c")
 ANNEALED_SOURCE = Path(__file__).with_name("annealed_kernel.c")
@@ -86,7 +91,15 @@ def _open(source_path: Path, fallback: str):
     if cc is None:
         return _fallback(fallback, "no C compiler (gcc) found")
     try:
-        return ctypes.CDLL(str(_build(cc, source_path)))
+        path = _build(cc, source_path)
+        try:
+            return ctypes.CDLL(str(path))
+        except OSError:
+            if path.exists():
+                raise
+            # the _prune_stale of another source of this kernel (another
+            # checkout) deleted the cached build after _build found it
+            return ctypes.CDLL(str(_build(cc, source_path)))
     except subprocess.CalledProcessError as exc:
         return _fallback(fallback, f"compiling {source_path.name} failed: "
                                    f"{exc.stderr.strip()}")
@@ -114,19 +127,37 @@ def load():
     return lib
 
 
+class AnnealedPasses(NamedTuple):
+    """The annealed kernel's two entry points, as bound ctypes functions."""
+    thin: Callable
+    convert: Callable
+    avx2: bool
+
+
+def _annealed_passes(lib, avx2: bool) -> AnnealedPasses:
+    """The AVX2 or the baseline entry pair of the annealed kernel `lib`."""
+    suffix = "_avx2" if avx2 else ""
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    thin = getattr(lib, "sg_thin" + suffix)
+    thin.argtypes = [ptr, ptr, i64, i64, i64, ptr, i64]
+    thin.restype = None
+    convert = getattr(lib, "sg_convert" + suffix)
+    convert.argtypes = [ptr, ptr, i64, i64, i64, i64, i64, ptr, i64]
+    convert.restype = None
+    return AnnealedPasses(thin, convert, avx2)
+
+
 @functools.lru_cache(maxsize=None)
 def load_annealed():
-    """The loaded annealed-pass kernel library, or None when it cannot be
-    built here."""
+    """The annealed-pass kernel's entry points (AnnealedPasses), the AVX2
+    pair when the CPU has AVX2, or None when the kernel cannot be built
+    here."""
     lib = _open(ANNEALED_SOURCE, "the numpy annealed passes")
     if lib is None:
         return None
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.sg_thin.argtypes = [ptr, ptr, i64, i64, i64, ptr, i64]
-    lib.sg_thin.restype = None
-    lib.sg_convert.argtypes = [ptr, ptr, i64, i64, i64, i64, i64, ptr, i64]
-    lib.sg_convert.restype = None
-    return lib
+    lib.sg_has_avx2.argtypes = []
+    lib.sg_has_avx2.restype = ctypes.c_int
+    return _annealed_passes(lib, bool(lib.sg_has_avx2()))
 
 
 def _fallback(code_path: str, reason: str):

@@ -279,23 +279,49 @@ _DIFF_CASES = ((4.3, 20, {}), (4.3, 75, dict(t_max=8)), (10.0, 20, {}),
                (10.0, 75, dict(t_max=8)), (20.0, 40, dict(t_max=4)))
 
 
-def test_kernel_chains_match_numpy(kernel, monkeypatch):
-    compiled = [_chain(a0, n, **kw) for a0, n, kw in _DIFF_CASES]
+@pytest.fixture(scope="module")
+def entry_pairs(kernel):
+    """The kernel's entry pairs this CPU runs: the baseline pair, and the
+    AVX2 pair when the CPU has AVX2 (load_annealed binds the latter)."""
+    if not kernel.avx2:
+        return {"baseline": kernel}
+    lib = native._open(native.ANNEALED_SOURCE, "the numpy annealed passes")
+    return {"baseline": native._annealed_passes(lib, False), "avx2": kernel}
+
+
+def test_kernel_chains_match_numpy(entry_pairs, monkeypatch):
+    compiled = {}
+    for name, passes in entry_pairs.items():
+        with monkeypatch.context() as m:
+            m.setattr(native, "load_annealed", lambda: passes)
+            compiled[name] = [_chain(a0, n, **kw) for a0, n, kw in _DIFF_CASES]
     _numpy_passes(monkeypatch)
-    for (a0, n, kw), got in zip(_DIFF_CASES, compiled):
-        _assert_same_chain(got, _chain(a0, n, **kw), (a0, n))
+    for i, (a0, n, kw) in enumerate(_DIFF_CASES):
+        want = _chain(a0, n, **kw)
+        for name, chains in compiled.items():
+            _assert_same_chain(chains[i], want, (name, a0, n))
 
 
-def test_kernel_passes_match_numpy(kernel, monkeypatch):
+def _pass_arrays():
     rng = np.random.default_rng(2024)
     base = rng.random((6, 11, 14))
-    arrays = (base,                               # contiguous
-              base[:, ::2, :],                    # strided views
-              base.transpose(2, 0, 1)[1:, :, 3:],
-              base[1:4, 2:9, 5:7],
-              base[:2, :1, :3])                   # narrower than any support
+    holes = base.copy()
+    holes[2] = 0.0                      # a zero row of the first axis
+    holes[:, :, 0] = 0.0                # a zero row of the last axis
+    holes[:, 3:8, 2:12] = 0.0           # a zero block, wider than BLOCK
+    tiny = base * 1e-310                # subnormal cells, some underflowing
+    tiny[:, ::3, :] = 5e-324
+    return (base,                               # contiguous
+            base[:, ::2, :],                    # strided views
+            base.transpose(2, 0, 1)[1:, :, 3:],
+            base[1:4, 2:9, 5:7],
+            base[:2, :1, :3],                   # narrower than any support
+            holes, tiny, np.zeros((3, 9, 10)))
+
+
+def test_kernel_passes_match_numpy(entry_pairs, monkeypatch):
     cases = []
-    for arr in arrays:
+    for arr in _pass_arrays():
         for lo in (0, 3, 250):
             for p in (-0.2, 0.0, 0.004, 0.05, 0.3, 0.9):
                 for axis in (0, 1, 2):
@@ -303,16 +329,91 @@ def test_kernel_passes_match_numpy(kernel, monkeypatch):
                     cases.append((annealed._thin_pass, arr, values, p, axis))
                     if axis:
                         cases.append((annealed._convert_pass, arr, values, p, axis))
-    compiled = [fn(arr, values, p, 1e-14, axis) for fn, arr, values, p, axis in cases]
+    compiled = {}
+    for name, passes in entry_pairs.items():
+        with monkeypatch.context() as m:
+            m.setattr(native, "load_annealed", lambda: passes)
+            compiled[name] = [fn(arr, values, p, 1e-14, axis)
+                              for fn, arr, values, p, axis in cases]
     _numpy_passes(monkeypatch)
-    narrow = 0
-    for (fn, arr, values, p, axis), got in zip(cases, compiled):
+    narrow = subnormal = 0
+    for i, (fn, arr, values, p, axis) in enumerate(cases):
         want = fn(arr, values, p, 1e-14, axis)
-        assert got.shape == want.shape and np.array_equal(got, want), \
-            (fn.__name__, arr.shape, values[0], p, axis)
+        for name, outs in compiled.items():
+            got = outs[i]
+            assert got.shape == want.shape and np.array_equal(got, want), \
+                (name, fn.__name__, arr.shape, values[0], p, axis)
         if p > 0 and annealed._binom_support(int(values[-1]), p, 1e-14) >= len(values):
             narrow += 1
-    assert narrow > 50
+        subnormal += bool(((want > 0) & (want < np.finfo(float).tiny)).any())
+    assert narrow > 50 and subnormal > 50, (narrow, subnormal)
+
+
+def _dict_sliver(sliver, c3_lo, T, N, tail):
+    """The (0, 0, C3) rows summed as _engine_step once did, in a dict of
+    guc_transition_row terms: {(C2, C3 index): mass}."""
+    terms = {}
+    for i3 in np.nonzero(sliver)[0]:
+        c3 = int(c3_lo + i3)
+        if c3 == 0:
+            continue
+        for dest, w in guc_transition_row((0, 0, c3), T, N, tail):
+            key = (dest[1], dest[2] - c3_lo)
+            terms[key] = terms.get(key, 0.0) + w * float(sliver[i3])
+    return terms
+
+
+def _assert_sliver_matches_rows(cells, c3_lo, T, N, tail):
+    """_sliver_rows equals the dict path on the (0, 0, C3) cells `cells`
+    (C3 from c3_lo), first padded on the low side as _engine_step pads
+    them: every cell bit for bit, and the extents of the cells a row
+    reaches, which fix the window shape.  Returns how many reached cells
+    hold 0.0 because their product underflowed."""
+    pad = min(c3_lo, annealed._binom_support(c3_lo + len(cells) - 1,
+                                             3.0 / (N - T), tail) + 2)
+    sliver, c3_lo = np.concatenate((np.zeros(pad), cells)), c3_lo - pad
+    acc, hi2, hi3 = annealed._sliver_rows(sliver, c3_lo, N - T, tail)
+    want = _dict_sliver(sliver, c3_lo, T, N, tail)
+    label = (c3_lo, T, N, tail)
+    if not want:
+        assert (hi2, hi3) == (0, 0) and not acc.any(), label
+        return 0
+    assert hi2 == 1 + max(c2 for c2, _ in want), label
+    assert hi3 == 1 + max(d3 for _, d3 in want), label
+    dense = np.zeros(acc.shape)
+    for (c2, d3), v in want.items():
+        dense[d3, c2] = v
+    assert np.array_equal(acc, dense), label
+    return sum(v == 0.0 for v in want.values())
+
+
+def test_sliver_rows_match_transition_rows():
+    rng = np.random.default_rng(7)
+    underflowed = 0
+    for c3_lo, T, N in ((0, 0, 40), (1, 3, 40), (37, 5, 60), (300, 2, 150),
+                        (1480, 20, 150)):
+        for p_live in (1.0, 0.5, 0.05):    # chance the sliver holds mass
+            sliver = rng.random(int(rng.integers(1, 12))) * (rng.random() < p_live)
+            sliver[rng.random(len(sliver)) < 0.3] = 0.0
+            tiny = sliver * 1e-305
+            tiny[::2] = np.where(sliver[::2] > 0, 5e-324, 0.0)
+            for s in (sliver, tiny):
+                for tail in (1e-14, 1e-6):
+                    underflowed += _assert_sliver_matches_rows(s, c3_lo, T, N, tail)
+    # a subnormal cell times a small row weight underflows to 0, yet the
+    # cell it reaches still counts for the window
+    assert underflowed > 0
+    # at threshold 0 the windows keep every underflowing tail cell
+    fields = 0
+    for a0, n, t_max in ((4.3, 20, 6), (10.0, 8, None)):
+        for f in annealed.evolve_branch_counts(a0, n, 0.0, t_max):
+            if f.c2_lo == 0 and f.T < n - 5:
+                _assert_sliver_matches_rows(f.array[0, 0, :], f.c3_lo, f.T, n, 1e-14)
+                fields += 1
+    assert fields >= 8
+    # a row reaching below the window is a padding error, not lost mass
+    with pytest.raises(AssertionError):
+        annealed._sliver_rows(np.ones(1), 100, 40, 1e-14)
 
 
 def test_fallback_without_compiler(monkeypatch):

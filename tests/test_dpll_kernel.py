@@ -191,3 +191,26 @@ def test_rebuilds_prune_stale_kernels(kernel, tmp_path, monkeypatch):
     names = sorted(f.name for f in (tmp_path / "cache" / "satgrowth").iterdir())
     assert len(names) == 2, names
     assert names[0].startswith("annealed_kernel-") and names[1].startswith("dpll_kernel-")
+
+
+def test_load_rebuilds_a_build_pruned_before_it_opens(kernel, tmp_path, monkeypatch):
+    # the build of another source of the same kernel (another checkout) may
+    # prune the cached library after _build returned its path and before
+    # ctypes opens it: the loader builds it once more instead of falling back
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    build = native._build
+    paths = []
+
+    def pruned_after_first_build(cc, source_path):
+        path = build(cc, source_path)
+        if not paths:
+            path.unlink()
+        paths.append(path)
+        return path
+
+    monkeypatch.setattr(native, "_build", pruned_after_first_build)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lib = native._open(native.ANNEALED_SOURCE, "the numpy annealed passes")
+    assert lib is not None and lib.sg_has_avx2() in (0, 1)
+    assert len(paths) == 2 and paths[0] == paths[1] and paths[1].exists()

@@ -113,7 +113,8 @@ def test_cli_annealed_out_runs_chain_once(tmp_path, capsys, monkeypatch):
                      "--out", str(path)]) == 0
     assert len(runs) == 1
     assert capsys.readouterr().out == (
-        f"wrote {path}\nlog2(peak mass)/N = 0.09375 at T = 6 (peak mass 7.025)\n")
+        f"wrote {path}\nlog2(peak mass)/N = 0.09375 at T = 6 (peak mass 7.025)\n"
+        "pruned mass / peak mass = 3.73e-08\n")
     lines = path.read_bytes().split(b"\r\n")
     assert lines[0] == b"T,total_mass,mean_c2,mean_c3,pruned_mass"
     assert lines[1] == b"0,1,0,300,0"
