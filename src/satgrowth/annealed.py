@@ -38,14 +38,16 @@ conversion plus the split clause), so no move leaves the window; the
 C2 = 0, is summed as dense numpy rows (_sliver_rows), bit-identical to the
 guc_transition_row terms.
 
-Backend: the binomial weight tables are always computed here with numpy
-(_pass_weights).  The multiply-adds run in the C kernel annealed_kernel.c,
-which native.load_annealed() builds on the first step of a process and
+One binomial pmf (_binom_pmf) gives the transition rows, the sliver rows
+and the passes' weight tables (_pass_weights), always with numpy.  The
+multiply-adds run in the C kernel annealed_kernel.c, which
+native.load_annealed() builds on the first step of a process and
 binds to its AVX2 entry points when the CPU has AVX2, else to its baseline
 ones; when the kernel cannot be built they run in the numpy loops of
 _thin_pass/_convert_pass, which are the readable reference.  All three add
 each cell's terms in the same order, so fields, mass curves and omegas are
-bit-identical across backends.
+bit-identical across backends.  The yielded fields hold the chain's own
+windows, marked read-only.
 """
 
 import math
@@ -69,18 +71,15 @@ def _lgf(n_max: int) -> np.ndarray:
     return _LGF_CACHE
 
 
-def _binom_pmf(n: int, p: float, k_lo: int, k_hi: int) -> np.ndarray:
-    """Binomial pmf values for k in [k_lo, k_hi], computed in log space."""
-    lgf = _lgf(n)
-    ks = np.arange(k_lo, k_hi + 1, dtype=int)
+def _binom_pmf(n, p: float, k) -> np.ndarray:
+    """Bin(n, p) probabilities of k, computed in log space and broadcast over
+    the integers (or integer arrays) 0 <= k <= n; p <= 0 puts all mass on
+    k = 0."""
     if p <= 0.0:
-        out = np.zeros(len(ks))
-        if k_lo == 0:
-            out[0] = 1.0
-        return out
-    logs = (lgf[n] - lgf[ks] - lgf[n - ks]
-            + ks * math.log(p) + (n - ks) * math.log1p(-p))
-    return np.exp(logs)
+        return np.where(np.equal(k, 0), 1.0, 0.0) + np.zeros(np.shape(n))
+    lgf = _lgf(np.max(n))
+    return np.exp(lgf[n] - lgf[k] - lgf[n - k]
+                  + k * math.log(p) + (n - k) * math.log1p(-p))
 
 
 def _binom_support(n: int, p: float, tail: float) -> int:
@@ -113,41 +112,31 @@ def guc_transition_row(c_from: Tuple[int, int, int], T: int, N: int,
         if w > 0.0:
             out[dest] = out.get(dest, 0.0) + w
 
-    def three_pool(pool):
-        """[(m, w2, weight)]: m touched 3-clauses, w2 of them became 2-clauses."""
+    def touched(pool, p):
+        """[(m, w, weight)]: m of the pool's clauses touched (each with
+        probability p), w of them lost a literal (3 -> 2 or 2 -> 1)."""
         terms = []
-        m_hi = _binom_support(pool, 3.0 / n, tail)
-        pm = _binom_pmf(pool, 3.0 / n, 0, m_hi)
+        m_hi = _binom_support(pool, p, tail)
+        pm = _binom_pmf(pool, p, np.arange(m_hi + 1))
         for m in range(m_hi + 1):
-            pw = _binom_pmf(m, 0.5, 0, m)
-            for w2 in range(m + 1):
-                terms.append((m, w2, pm[m] * pw[w2]))
-        return terms
-
-    def two_pool(pool):
-        """[(z2, w1, weight)]: z2 touched 2-clauses, w1 of them became units."""
-        terms = []
-        z_hi = _binom_support(pool, 2.0 / n, tail)
-        pz = _binom_pmf(pool, 2.0 / n, 0, z_hi)
-        for z2 in range(z_hi + 1):
-            pw = _binom_pmf(z2, 0.5, 0, z2)
-            for w1 in range(z2 + 1):
-                terms.append((z2, w1, pz[z2] * pw[w1]))
+            pw = _binom_pmf(m, 0.5, np.arange(m + 1))
+            for w in range(m + 1):
+                terms.append((m, w, pm[m] * pw[w]))
         return terms
 
     if c1 >= 1:
         surv = (1.0 - 1.0 / (2.0 * n)) ** (c1 - 1)
-        for m, w2, wa in three_pool(c3):
-            for z2, w1, wb in two_pool(c2):
+        for m, w2, wa in touched(c3, 3.0 / n):
+            for z2, w1, wb in touched(c2, 2.0 / n):
                 add((c1 - 1 + w1, c2 - z2 + w2, c3 - m), surv * wa * wb)
     elif c2 >= 1:
-        for m, w2, wa in three_pool(c3):
-            for z2, w1, wb in two_pool(c2 - 1):
+        for m, w2, wa in touched(c3, 3.0 / n):
+            for z2, w1, wb in touched(c2 - 1, 2.0 / n):
                 w = wa * wb
                 add((w1, c2 - 1 - z2 + w2, c3 - m), w)
                 add((w1 + 1, c2 - 1 - z2 + w2, c3 - m), w)
     elif c3 >= 1:
-        for m, w2, wa in three_pool(c3 - 1):
+        for m, w2, wa in touched(c3 - 1, 3.0 / n):
             add((0, w2, c3 - 1 - m), wa)
             add((0, w2 + 1, c3 - 1 - m), wa)
     # else (0,0,0): satisfied branch, empty row
@@ -183,19 +172,20 @@ class BranchCountField:
     def total_mass(self) -> float:
         return float(self.array.sum())
 
-    def mean_c2(self) -> float:
+    def _mean(self, other_axes: Tuple[int, int], lo: int) -> float:
+        """Mass-weighted mean of the axis left by summing `other_axes`,
+        whose first index holds the value `lo`."""
         tot = self.array.sum()
         if tot <= 0:
             return 0.0
-        marg = self.array.sum(axis=(0, 2))
-        return float(np.dot(marg, self.c2_lo + np.arange(len(marg))) / tot)
+        marg = self.array.sum(axis=other_axes)
+        return float(np.dot(marg, lo + np.arange(len(marg))) / tot)
+
+    def mean_c2(self) -> float:
+        return self._mean((0, 2), self.c2_lo)
 
     def mean_c3(self) -> float:
-        tot = self.array.sum()
-        if tot <= 0:
-            return 0.0
-        marg = self.array.sum(axis=(0, 1))
-        return float(np.dot(marg, self.c3_lo + np.arange(len(marg))) / tot)
+        return self._mean((0, 1), self.c3_lo)
 
 
 def _pass_weights(values: np.ndarray, p: float, tail: float) -> np.ndarray:
@@ -211,14 +201,9 @@ def _pass_weights(values: np.ndarray, p: float, tail: float) -> np.ndarray:
     lo = int(values[0])
     n_hi = int(values[-1])
     n_rows = min(_binom_support(n_hi, p, tail) + 1, c)
-    lgf = _lgf(max(n_hi, 1))
-    logp = math.log(p)
-    log1p_ = math.log1p(-p)
     table = np.zeros((n_rows, c))
     for j in range(n_rows):
-        s = np.arange(lo + j, lo + c)
-        table[j, j:] = np.exp(lgf[s] - lgf[j] - lgf[s - j] + j * logp
-                              + (s - j) * log1p_)
+        table[j, j:] = _binom_pmf(np.arange(lo + j, lo + c), p, j)
     return table
 
 
@@ -327,14 +312,14 @@ def _sliver_rows(sliver: np.ndarray, c3_lo: int, n: int,
     m_top = _binom_support(c3_lo + idx[-1] - 1, p, tail)
     half = np.zeros((m_top + 1, m_top + 1))
     for m in range(m_top + 1):
-        half[m, :m + 1] = _binom_pmf(m, 0.5, 0, m)
+        half[m, :m + 1] = _binom_pmf(m, 0.5, np.arange(m + 1))
     acc = np.zeros((len(sliver), m_top + 2))
     hi2 = hi3 = 0
     for i3 in idx:
         pool = c3_lo + i3 - 1
         m_hi = _binom_support(pool, p, tail)
         a = np.zeros((m_hi + 1, m_hi + 3))
-        a[:, 1:-1] = (_binom_pmf(pool, p, 0, m_hi)[:, None]
+        a[:, 1:-1] = (_binom_pmf(pool, p, np.arange(m_hi + 1))[:, None]
                       * half[:m_hi + 1, :m_hi + 1])
         lo = i3 - 1 - m_hi
         rows = (a[:, :-1] + a[:, 1:])[::-1]    # rows[k]: C3 index lo + k
@@ -440,11 +425,12 @@ def evolve_branch_counts(alpha0: float, N: int,
     c3_init = int(round(alpha0 * N))
     if t_max is None:
         t_max = N - 5
-    arr = np.zeros((1, 1, 1))
-    arr[0, 0, 0] = 1.0
+    # the fields share the windows, which _engine_step only reads
+    arr = np.ones((1, 1, 1))
+    arr.flags.writeable = False
     c2_lo = 0
     c3_lo = c3_init
-    yield BranchCountField(0, arr.copy(), c2_lo, c3_lo)
+    yield BranchCountField(0, arr, c2_lo, c3_lo)
     prev_mass = 1.0
     declines = 0
     for T in range(0, t_max):
@@ -464,9 +450,10 @@ def evolve_branch_counts(alpha0: float, N: int,
         i2 = np.flatnonzero(live23.any(axis=1))
         i3 = np.flatnonzero(live23.any(axis=0))
         arr = out[:hi1 + 1, i2[0]:i2[-1] + 1, i3[0]:i3[-1] + 1].copy()
+        arr.flags.writeable = False
         c2_lo += int(i2[0])
         c3_lo += int(i3[0])
-        field = BranchCountField(T + 1, arr.copy(), c2_lo, c3_lo, pruned_mass)
+        field = BranchCountField(T + 1, arr, c2_lo, c3_lo, pruned_mass)
         yield field
         mass = field.total_mass()
         if stop_on_decline and mass < prev_mass:

@@ -18,6 +18,10 @@ branches is rho_S = exp(H at the endpoint) - 1.  Growth halts where rho_S
 reaches 0, which for GUC happens on the line
 alpha (1-p) = ((3+sqrt5)/2) ln((1+sqrt5)/2) ~ 1.2599.  The tree-size
 exponent omega_THE is phi(0,0; t_halt)/ln 2, in bits per variable.
+
+Each formula has one definition: _y1_terms gives Y1 and its derivative,
+_ham_grad gives H and its gradient for GUC and UC, and
+trajectory.to_phase_coords maps densities to (p, alpha).
 """
 
 import math
@@ -26,7 +30,8 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .dpll import GUC, UC, PhasePoint
 from .numerics import IntegrationError, integrate_ode
-from .trajectory import CriticalLine, GPoint, find_g
+from .trajectory import (CriticalLine, DensityState, GPoint, find_g,
+                         to_phase_coords)
 
 LN2 = math.log(2.0)
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -44,19 +49,20 @@ class ShootingError(RuntimeError):
         self.residual = residual
 
 
-def kernel_y1(y2: float) -> float:
-    """Root Y1(y2) of the kernel K(y1, y2) = e^{-y2}(e^{2 y1} + e^{y1}) - 1.
-
-    Equals y2 - ln((1 + sqrt(1 + 4 e^{y2}))/2), evaluated through log1p and
+def _y1_terms(y2: float) -> Tuple[float, float, float, float]:
+    """(Y1, e^{-Y1}, dY1/dy2, e^{y2}) at y2, where
+    Y1 = y2 - ln((1 + sqrt(1 + 4 e^{y2}))/2) is evaluated through log1p and
     the conjugate form so the y2 -> -inf tail stays accurate.
     """
     ey2 = math.exp(y2)
     r = math.sqrt(1.0 + 4.0 * ey2)
-    return y2 - math.log1p(2.0 * ey2 / (1.0 + r))
+    return (y2 - math.log1p(2.0 * ey2 / (1.0 + r)), (1.0 + r) / (2.0 * ey2),
+            (r + 1.0) / (2.0 * r), ey2)
 
 
-def kernel(y1: float, y2: float) -> float:
-    return math.exp(-y2) * (math.exp(2.0 * y1) + math.exp(y1)) - 1.0
+def kernel_y1(y2: float) -> float:
+    """Root Y1(y2) of the kernel K(y1, y2) = e^{-y2}(e^{2 y1} + e^{y1}) - 1."""
+    return _y1_terms(y2)[0]
 
 
 def hamiltonian(heuristic: str, c2: float, c3: float, y2: float, y3: float,
@@ -66,33 +72,35 @@ def hamiltonian(heuristic: str, c2: float, c3: float, y2: float, y3: float,
 
 
 def _ham_grad(heuristic: str, c2, c3, y2, y3, t):
-    """(H, dH/dc2, dH/dc3, dH/dy2, dH/dy3)."""
+    """(H, dH/dc2, dH/dc3, dH/dy2, dH/dy3) of
+    H = base(y2) + 3 c3 b3(y2, y3)/(1-t) + c2 k2(y2)/(1-t).
+
+    The heuristic sets only base and k2: GUC has base = -Y1 and
+    k2 = e^{-Y1} - 2, UC has base = ln 2 and k2 = 1.5 e^{-y2} - 2.
+    """
     if t >= 1.0:
         raise ValueError("t must be below 1")
-    one_t = 1.0 - t
-    ey2 = math.exp(y2)
-    b3 = math.exp(-y3) * (1.0 + ey2) / 2.0 - 1.0
-    d_b3_y2 = math.exp(-y3) * ey2 / 2.0
-    d_b3_y3 = -math.exp(-y3) * (1.0 + ey2) / 2.0
     if heuristic == GUC:
-        r = math.sqrt(1.0 + 4.0 * ey2)
-        y1 = y2 - math.log1p(2.0 * ey2 / (1.0 + r))
-        e_m_y1 = (1.0 + r) / (2.0 * ey2)
-        y1p = (r + 1.0) / (2.0 * r)
-        h = -y1 + 3.0 * c3 / one_t * b3 + c2 / one_t * (e_m_y1 - 2.0)
-        d_c2 = (e_m_y1 - 2.0) / one_t
-        d_c3 = 3.0 * b3 / one_t
-        d_y2 = -y1p + 3.0 * c3 / one_t * d_b3_y2 - c2 / one_t * y1p * e_m_y1
-        d_y3 = 3.0 * c3 / one_t * d_b3_y3
-        return h, d_c2, d_c3, d_y2, d_y3
-    if heuristic == UC:
-        h = LN2 + 3.0 * c3 / one_t * b3 + c2 / one_t * (1.5 * math.exp(-y2) - 2.0)
-        d_c2 = (1.5 * math.exp(-y2) - 2.0) / one_t
-        d_c3 = 3.0 * b3 / one_t
-        d_y2 = 3.0 * c3 / one_t * d_b3_y2 - c2 / one_t * 1.5 * math.exp(-y2)
-        d_y3 = 3.0 * c3 / one_t * d_b3_y3
-        return h, d_c2, d_c3, d_y2, d_y3
-    raise UnsupportedHeuristicError(f"no growth Hamiltonian for {heuristic!r}")
+        y1, e_m_y1, y1p, ey2 = _y1_terms(y2)
+        base, k2 = -y1, e_m_y1 - 2.0
+        # dk2/dy2 = -dk2_a * dk2_b
+        d_base, dk2_a, dk2_b = -y1p, y1p, e_m_y1
+    elif heuristic == UC:
+        ey2 = math.exp(y2)
+        e_m_y2 = math.exp(-y2)
+        base, k2 = LN2, 1.5 * e_m_y2 - 2.0
+        # -0.0 is the exact additive identity, so d_y2 gets no base term
+        d_base, dk2_a, dk2_b = -0.0, 1.5, e_m_y2
+    else:
+        raise UnsupportedHeuristicError(f"no growth Hamiltonian for {heuristic!r}")
+    one_t = 1.0 - t
+    e_m_y3 = math.exp(-y3)
+    b3 = e_m_y3 * (1.0 + ey2) / 2.0 - 1.0
+    a3 = 3.0 * c3 / one_t
+    a2 = c2 / one_t
+    return (base + a3 * b3 + a2 * k2, k2 / one_t, 3.0 * b3 / one_t,
+            d_base + a3 * (e_m_y3 * ey2 / 2.0) - a2 * dk2_a * dk2_b,
+            a3 * (-e_m_y3 * (1.0 + ey2) / 2.0))
 
 
 def halt_line_alpha(p: float) -> float:
@@ -216,11 +224,19 @@ class _Shooter:
         y0, end = self.shoot(t_target, guess)
         c2s, c3s, phi = end[2], end[3], end[4]
         h_end = hamiltonian(self.h, c2s, c3s, 0.0, 0.0, t_target)
-        total = c2s + c3s
-        p_star = c3s / total if total > 0 else float("nan")
-        alpha_star = total / (1.0 - t_target)
+        if c2s + c3s > 0:
+            p_star, alpha_star, _ = to_phase_coords(DensityState(t_target, c2s, c3s))
+        else:
+            p_star, alpha_star = float("nan"), (c2s + c3s) / (1.0 - t_target)
         return y0, GrowthSample(t_target, phi, c2s, c3s, p_star, alpha_star,
                                 math.exp(h_end) - 1.0)
+
+
+def _start(alpha0: float, c2_init: Optional[float],
+           c3_init: Optional[float]) -> Tuple[float, float]:
+    """Initial densities (c2, c3), by default the 3-SAT start (0, alpha0)."""
+    return (0.0 if c2_init is None else c2_init,
+            alpha0 if c3_init is None else c3_init)
 
 
 def solve_characteristics(alpha0: float, heuristic: str,
@@ -234,10 +250,7 @@ def solve_characteristics(alpha0: float, heuristic: str,
     Default initial data is the 3-SAT start (c2, c3) = (0, alpha0); pass the
     G-point densities (alpha_G (1-p_G), alpha_G p_G) for upper-sat subtrees.
     """
-    if c2_init is None:
-        c2_init = 0.0
-    if c3_init is None:
-        c3_init = alpha0
+    c2_init, c3_init = _start(alpha0, c2_init, c3_init)
     ctl = controls or Controls()
     shooter = _Shooter(heuristic, c2_init, c3_init, ctl)
     dt = ctl.t_step if ctl.t_step is not None else min(0.02, 0.08 / max(alpha0, 1.0))
@@ -338,61 +351,6 @@ def omega_upper_sat(alpha0: float, heuristic: str = GUC,
     return omega_upper_sat_from_g(g, heuristic, controls=controls)
 
 
-# ------------------------------------------------- grid solver cross-check
-
-def solve_phi_grid(alpha0: float, heuristic: str, t_end: float,
-                   c2_init: Optional[float] = None,
-                   c3_init: Optional[float] = None,
-                   y_span: float = 1.0, n_grid: int = 81,
-                   dt: float = 2e-4) -> float:
-    """phi(0, 0; t_end) from a coarse Lax-Friedrichs solve of the PDE on a
-    (y2, y3) grid; a few-percent cross-check of the characteristics route,
-    not a production path.
-    """
-    import numpy as np
-    if c2_init is None:
-        c2_init = 0.0
-    if c3_init is None:
-        c3_init = alpha0
-    h = 2.0 * y_span / (n_grid - 1)
-    axis = np.linspace(-y_span, y_span, n_grid)
-    y2, y3 = np.meshgrid(axis, axis, indexing="ij")
-    ey2 = np.exp(y2)
-    b3 = np.exp(-y3) * (1.0 + ey2) / 2.0 - 1.0
-    if heuristic == GUC:
-        r = np.sqrt(1.0 + 4.0 * ey2)
-        base = -(y2 - np.log1p(2.0 * ey2 / (1.0 + r)))
-        coef2 = (1.0 + r) / (2.0 * ey2) - 2.0
-    elif heuristic == UC:
-        base = math.log(2.0) * np.ones_like(y2)
-        coef2 = 1.5 * np.exp(-y2) - 2.0
-    else:
-        raise UnsupportedHeuristicError(f"no growth Hamiltonian for {heuristic!r}")
-    phi = c2_init * y2 + c3_init * y3
-    steps = int(round(t_end / dt))
-    for k in range(steps):
-        t = k * dt
-        q2 = np.empty_like(phi)
-        q3 = np.empty_like(phi)
-        q2[1:-1, :] = (phi[2:, :] - phi[:-2, :]) / (2 * h)
-        q3[:, 1:-1] = (phi[:, 2:] - phi[:, :-2]) / (2 * h)
-        q2[0, :] = (phi[1, :] - phi[0, :]) / h
-        q2[-1, :] = (phi[-1, :] - phi[-2, :]) / h
-        q3[:, 0] = (phi[:, 1] - phi[:, 0]) / h
-        q3[:, -1] = (phi[:, -1] - phi[:, -2]) / h
-        ham = base + (3.0 * q3 * b3 + q2 * coef2) / (1.0 - t)
-        # Lax-Friedrichs dissipation, scaled by the local gradient speeds
-        a2 = np.abs(coef2) / (1.0 - t)
-        a3 = 3.0 * np.abs(b3) / (1.0 - t)
-        ham[1:-1, :] -= a2[1:-1, :] * (phi[2:, :] - 2 * phi[1:-1, :]
-                                       + phi[:-2, :]) / (2 * h)
-        ham[:, 1:-1] -= a3[:, 1:-1] * (phi[:, 2:] - 2 * phi[:, 1:-1]
-                                       + phi[:, :-2]) / (2 * h)
-        phi = phi + dt * ham
-    mid = n_grid // 2
-    return float(phi[mid, mid])
-
-
 # ------------------------------------------------------------ omega surface
 
 class SurfaceSnapshot(NamedTuple):
@@ -416,9 +374,8 @@ def legendre_surface(alpha0: float, heuristic: str, t: float,
     omega = phi - y(t) . q(t) (the Legendre transform at its stationary
     point).  Samples are rasterized onto a (p, alpha) grid keeping cell maxima.
     """
-    ctl = controls or Controls()
-    shooter = _Shooter(heuristic, c2_init if c2_init is not None else 0.0,
-                       c3_init if c3_init is not None else alpha0, ctl)
+    shooter = _Shooter(heuristic, *_start(alpha0, c2_init, c3_init),
+                       controls or Controls())
     raw = []
     for i in range(n_fan):
         y2 = -y_span + 2.0 * y_span * i / (n_fan - 1)
@@ -431,8 +388,8 @@ def legendre_surface(alpha0: float, heuristic: str, t: float,
             y2_end, y3_end, c2, c3, phi = end
             if c2 < 0 or c3 < 0 or c2 + c3 <= 0:
                 continue
-            om = phi - y2_end * c2 - y3_end * c3
-            raw.append((c3 / (c2 + c3), (c2 + c3) / (1.0 - t), om))
+            p, alpha, _ = to_phase_coords(DensityState(t, c2, c3))
+            raw.append((p, alpha, phi - y2_end * c2 - y3_end * c3))
     if not raw:
         raise ValueError("no valid surface samples; widen y_span or lower t")
     n_p, n_a = grid

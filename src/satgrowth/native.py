@@ -8,9 +8,9 @@ time a process asks for it, into a per-user cache directory
 hash of the source and the compile command, and loaded with ctypes.  gcc
 writes a temporary file in the cache directory that is then published with
 os.replace, so processes compiling at the same time never load a
-half-written library; after publishing, older builds of the same kernel are
-removed, and a loader that finds its cached build removed that way (by
-another checkout's build) builds it once more.  load_annealed() binds the
+half-written library.  A build is never removed: each source version keeps
+its own small library, so checkouts of different sources can share one
+cache, and deleting the cache directory clears it.  load_annealed() binds the
 annealed kernel's AVX2 entry points when the CPU has AVX2, else its
 baseline ones; both give the same bits.  When no compiler is found, the
 compile fails or the cache is not writable, the loader returns None after
@@ -70,18 +70,7 @@ def _build(cc: str, source_path: Path) -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    _prune_stale(target, source_path.stem)
     return target
-
-
-def _prune_stale(target: Path, stem: str) -> None:
-    """Best effort: remove the builds of older sources of the same kernel."""
-    for old in target.parent.glob(f"{stem}-*.so"):
-        if old != target:
-            try:
-                old.unlink()
-            except OSError:
-                pass
 
 
 def _open(source_path: Path, fallback: str):
@@ -91,15 +80,7 @@ def _open(source_path: Path, fallback: str):
     if cc is None:
         return _fallback(fallback, "no C compiler (gcc) found")
     try:
-        path = _build(cc, source_path)
-        try:
-            return ctypes.CDLL(str(path))
-        except OSError:
-            if path.exists():
-                raise
-            # the _prune_stale of another source of this kernel (another
-            # checkout) deleted the cached build after _build found it
-            return ctypes.CDLL(str(_build(cc, source_path)))
+        return ctypes.CDLL(str(_build(cc, source_path)))
     except subprocess.CalledProcessError as exc:
         return _fallback(fallback, f"compiling {source_path.name} failed: "
                                    f"{exc.stderr.strip()}")

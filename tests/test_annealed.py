@@ -152,6 +152,16 @@ def test_field_accessors():
     assert items[ClauseVector(0, 4, 10)] == 1.5
 
 
+def test_fields_share_read_only_windows():
+    # the chain yields its own windows, without a copy, so writing to one
+    # raises instead of corrupting the next step
+    for field in annealed.evolve_branch_counts(10.0, 20, t_max=3):
+        with pytest.raises(ValueError):
+            field.array[0, 0, 0] = 2.0
+        with pytest.raises(ValueError):
+            field.array *= 0.5
+
+
 def test_mass_growth_then_decline():
     curve = mass_curve(10.0, 60)
     masses = [st.total_mass for st in curve]

@@ -1,11 +1,14 @@
+import hashlib
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from satgrowth import growth
 from satgrowth.growth import (ASYMPTOTIC_CONSTANT, HALT_CONSTANT, Controls,
                               UnsupportedHeuristicError, asymptotic_omega,
-                              halt_line_alpha, hamiltonian, kernel, kernel_y1,
+                              halt_line_alpha, hamiltonian, kernel_y1,
                               legendre_surface, omega_theory, omega_upper_sat,
                               omega_upper_sat_from_g, solve_characteristics)
 from satgrowth.trajectory import CriticalLine, GPoint
@@ -14,6 +17,9 @@ GOLDEN_LOG = math.log((1 + math.sqrt(5)) / 2)
 
 
 def test_kernel_y1_values():
+    def kernel(y1, y2):
+        return math.exp(-y2) * (math.exp(2.0 * y1) + math.exp(y1)) - 1.0
+
     assert abs(kernel_y1(0.0) + GOLDEN_LOG) < 1e-14
     # for very negative y2 the log term vanishes: Y1 -> y2
     assert abs(kernel_y1(-30.0) - (-30.0)) < 1e-12
@@ -139,13 +145,38 @@ def test_omega_theory_rejects_sat_regime():
         omega_theory(3.5, "GUC")
 
 
+def _grid_phi(alpha0, t_end, y_span=1.0, n_grid=81, dt=2e-4):
+    """phi(0, 0; t_end) of the GUC growth PDE from the 3-SAT start
+    phi = alpha0 y3, by a coarse Lax-Friedrichs solve on a (y2, y3) grid.
+
+    H is affine in q = (c2, c3) with slopes scaled by 1/(1-t), so its
+    intercept and slopes are read off _ham_grad at q = 0, t = 0.
+    """
+    h = 2.0 * y_span / (n_grid - 1)
+    axis = np.linspace(-y_span, y_span, n_grid)
+    base, k2, k3 = np.array([[growth._ham_grad("GUC", 0.0, 0.0, y2, y3, 0.0)[:3]
+                              for y3 in axis] for y2 in axis]).transpose(2, 0, 1)
+    phi = alpha0 * np.meshgrid(axis, axis, indexing="ij")[1]
+    for k in range(int(round(t_end / dt))):
+        one_t = 1.0 - k * dt
+        q2, q3 = np.gradient(phi, h)
+        ham = base + (q3 * k3 + q2 * k2) / one_t
+        # Lax-Friedrichs dissipation, scaled by the local gradient speeds
+        ham[1:-1, :] -= np.abs(k2[1:-1, :]) / one_t * (
+            phi[2:, :] - 2 * phi[1:-1, :] + phi[:-2, :]) / (2 * h)
+        ham[:, 1:-1] -= np.abs(k3[:, 1:-1]) / one_t * (
+            phi[:, 2:] - 2 * phi[:, 1:-1] + phi[:, :-2]) / (2 * h)
+        phi = phi + dt * ham
+    return float(phi[n_grid // 2, n_grid // 2])
+
+
 def test_grid_solver_cross_check():
     # the coarse upwind grid solve agrees with the characteristics route
     sh = growth._Shooter("GUC", 0.0, 10.0, Controls())
     guess = (0.0, 0.0)
     for t_end in (0.03, 0.05):
         guess, smp = sh.sample(t_end, guess)
-        grid = growth.solve_phi_grid(10.0, "GUC", t_end)
+        grid = _grid_phi(10.0, t_end)
         assert abs(grid - smp.omega_nats) / smp.omega_nats < 0.01
 
 
@@ -177,3 +208,28 @@ def test_legendre_surface_concavity():
     diffs = [b - a for a, b in zip(row, row[1:])]
     # allow small rasterization jitter
     assert sum(1 for a, b in zip(diffs, diffs[1:]) if b > a + 5e-4) <= 2
+
+
+def _digest(obj) -> str:
+    return hashlib.blake2b(repr(obj).encode(), digest_size=16).hexdigest()
+
+
+# Golden values of the growth layer, computed before H, dH and Y1 were
+# given one definition each; every float must stay identical.  The omegas
+# are GUC omega_THE in bits; the digests are blake2b digests of the repr of
+# _ham_grad's 5-tuples on a UC/GUC grid and of a surface's raw samples.
+_GOLDEN_OMEGAS = {4.3: 0.09164200621346194, 7.0: 0.048653650860546106,
+                  10.0: 0.03230162366053462, 15.0: 0.020754357287275066,
+                  20.0: 0.015298410628130466}
+
+
+def test_growth_golden_values():
+    for alpha0, want in _GOLDEN_OMEGAS.items():
+        assert omega_theory(alpha0) == want, alpha0
+    assert omega_upper_sat(3.5).omega_bits == 0.011523750746573521
+    grid = [growth._ham_grad(*point) for point in itertools.product(
+        ("UC", "GUC"), (0.0, 0.7, 3.1), (0.0, 2.5, 9.0),
+        (-1.3, -0.2, 0.0, 0.4, 1.1), (-0.9, 0.0, 0.6), (0.0, 0.1, 0.45))]
+    assert _digest(grid) == "0fb4f6da0124a782ac023f271a7b1a95"
+    snap = legendre_surface(10.0, "GUC", 0.05, n_fan=11)
+    assert _digest(snap.samples) == "719fe4aad54fcd8a96cf159210f25b4f"
