@@ -93,10 +93,11 @@ def cmd_oracle(args) -> int:
                                           inst.n_vars + 1, op)
     print(f"operator: {len(op.columns)} reachable states, {op.nnz()} nonzeros")
     print("B(T):", " ".join(str(b) for b in seq))
-    if cnf.brute_force_satisfiable(inst):
+    try:
+        t_star, b_star = oracle.stationary_tree_size(inst, args.heuristic, op)
+    except oracle.SatisfiableInstanceError:
         print("instance is satisfiable; stationarity not asserted")
     else:
-        t_star, b_star = oracle.stationary_tree_size(inst, args.heuristic)
         print(f"T* = {t_star}, B* = {b_star}")
     if args.dump:
         with open(args.dump, "w") as fh:

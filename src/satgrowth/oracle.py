@@ -8,12 +8,33 @@ the forward closure of the fully-undetermined state, so the full 3^N basis is
 never materialized.
 
 States are packed base-3: digit i of an index is the mark of variable i
-(0 = u, 1 = t, 2 = f).
+(0 = u, 1 = t, 2 = f), so the child that sets variable v to mark m of state
+idx is idx + m * 3**v.
+
+The build classifies each state once, from its parent.  A state carries its
+undetermined clauses as clause id -> free literal slots, in clause order and
+slot order, as cnf.classify would list them.  A child that sets v revisits
+only the parent's undetermined clauses that contain v: a true literal of v
+satisfies the clause, which is dropped; otherwise the slots of v go, and a
+clause left with no slot makes the child violating.
+
+Every non-absorbing transition assigns one variable, so the closure is a DAG
+layered by depth, and B(T) is summed in one pass over the layers: the mass of
+live (non-violating) states is carried from layer to layer, the mass that
+enters a violating state joins one absorbed total, and an all-satisfied state
+(empty column) keeps its mass only for the layer that reaches it.  Then
+B(T) = absorbed + the live mass at depth T; the masses are kept as integer
+numerators over a common denominator per layer, so B(T) is exact.
+cnf.classify on a single state, through transition_probs, is the reference
+for the derived classification.
 """
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from . import dpll
 from .cnf import F, T, U, Instance, brute_force_satisfiable, classify
@@ -42,54 +63,49 @@ def unpack_state(index: int, n_vars: int) -> Tuple[int, ...]:
     return tuple(marks)
 
 
-def _transitions(clauses, marks, heuristic, n_vars) -> List[Tuple[int, Fraction]]:
-    """Successor (state index, weight) pairs per the heuristic-induced rules.
+def _check_heuristic(heuristic: str) -> None:
+    if heuristic not in dpll.HEURISTICS:
+        raise ValueError(f"unknown heuristic {heuristic!r}")
+
+
+def _transitions(undet: Iterable[Sequence[int]], idx: int,
+                 free_vars: Sequence[int], heuristic: str,
+                 weight: Callable[[int, int], Fraction]
+                 ) -> List[Tuple[int, Fraction]]:
+    """Successor (state index, weight) pairs of the non-violating state idx,
+    per the heuristic-induced rules.  `undet` holds the free literal slots of
+    its undetermined clauses, `free_vars` its undetermined variables in
+    increasing order, and weight(num, den) makes the Fraction num/den.
 
     Unit clauses present: weight h(j|S) g(x|S,j) on the single forced child
     per (variable, value); weights sum to 1.  No unit clause: each candidate
     variable j contributes BOTH children with weight h(j|S), so the total
     outgoing weight is 2.
     """
-    violated, undet = classify(clauses, marks)
-    if violated:
-        raise ValueError("transition probabilities are undefined on a violating state")
-    units = [c[0] for c in undet if len(c) == 1]
-    out: List[Tuple[int, Fraction]] = []
+    units = [slots[0] for slots in undet if len(slots) == 1]
     if units:
-        forced: Dict[int, int] = {}
-        for lit in units:
-            forced[lit] = forced.get(lit, 0) + 1
         c1 = len(units)
-        for lit, cnt in sorted(forced.items()):
-            v = lit >> 1
-            mark = T if lit & 1 == 0 else F
-            child = list(marks)
-            child[v] = mark
-            out.append((pack_state(child), Fraction(cnt, c1)))
-        return out
-    h: Dict[int, Fraction] = {}
+        return [(idx + (T if lit & 1 == 0 else F) * 3 ** (lit >> 1),
+                 weight(cnt, c1))
+                for lit, cnt in sorted(Counter(units).items())]
     if heuristic == dpll.GUC:
         if not undet:
             raise ValueError("GUC selection with no undetermined clause")
-        kmin = min(len(c) for c in undet)
-        shortest = [c for c in undet if len(c) == kmin]
-        n_short = len(shortest)
-        for c in shortest:
-            for lit in c:
-                v = lit >> 1
-                h[v] = h.get(v, Fraction(0)) + Fraction(1, n_short * kmin)
+        kmin = min(map(len, undet))
+        shortest = [slots for slots in undet if len(slots) == kmin]
+        den = len(shortest) * kmin
+        counts = Counter(lit >> 1 for slots in shortest for lit in slots)
+        h = [(v, weight(cnt, den)) for v, cnt in sorted(counts.items())]
     else:  # UC and SC1: uniform over undetermined variables
-        u_vars = [v for v in range(n_vars) if marks[v] == U]
-        if not u_vars:
+        if not free_vars:
             raise ValueError("selection with no undetermined variable")
-        w = Fraction(1, len(u_vars))
-        for v in u_vars:
-            h[v] = w
-    for v, weight in sorted(h.items()):
-        for mark in (T, F):
-            child = list(marks)
-            child[v] = mark
-            out.append((pack_state(child), weight))
+        w = weight(1, len(free_vars))
+        h = [(v, w) for v in free_vars]
+    out: List[Tuple[int, Fraction]] = []
+    for v, w in h:
+        step = 3 ** v
+        out.append((idx + T * step, w))
+        out.append((idx + F * step, w))
     return out
 
 
@@ -120,13 +136,6 @@ class EvolutionOperator:
     def column_sum(self, s: int) -> Fraction:
         return sum((w for _, w in self.columns.get(s, ())), Fraction(0))
 
-    def apply_forward(self, mass: Dict[int, Fraction]) -> Dict[int, Fraction]:
-        out: Dict[int, Fraction] = {}
-        for s, m in mass.items():
-            for s2, w in self.columns.get(s, ()):
-                out[s2] = out.get(s2, Fraction(0)) + m * w
-        return out
-
     def dump(self, fh) -> None:
         """Text dump: one 'row col numerator denominator' line per entry."""
         for s in sorted(self.columns):
@@ -137,54 +146,112 @@ class EvolutionOperator:
 def build_evolution_operator(instance: Instance, heuristic: str,
                              var_cap: int = DEFAULT_VAR_CAP) -> EvolutionOperator:
     """Operator entries per the evolution rules, over states reachable from U."""
+    _check_heuristic(heuristic)
     n = instance.n_vars
     if n > var_cap:
         raise ValueError(f"n_vars={n} exceeds the operator cap ({var_cap})")
     clauses = instance.clauses()
-    start_marks = (U,) * n
-    start = pack_state(start_marks)
+    occurs: List[set] = [set() for _ in range(n)]
+    for cid, lits in enumerate(clauses):
+        for lit in lits:
+            occurs[lit >> 1].add(cid)
+    # index offset of a child -> (variable, its true literal under the mark)
+    steps = {m * 3 ** v: (v, 2 * v + (m == F)) for v in range(n) for m in (T, F)}
+    fractions: Dict[Tuple[int, int], Fraction] = {}
+
+    def weight(num: int, den: int) -> Fraction:
+        w = fractions.get((num, den))
+        if w is None:
+            w = fractions[num, den] = Fraction(num, den)
+        return w
+
+    one = Fraction(1)
     columns: Dict[int, List[Tuple[int, Fraction]]] = {}
     violating = set()
-    stack = [(start, start_marks)]
-    seen = {start}
+    # (index, undetermined variables, clause id -> free slots or None if the
+    # state violates a clause), from the all-undetermined state at index 0
+    stack = [(0, tuple(range(n)), dict(enumerate(clauses)))]
+    seen = {0}
     while stack:
-        idx, marks = stack.pop()
-        violated, undet = classify(clauses, marks)
-        if violated:
+        idx, free_vars, undet = stack.pop()
+        if undet is None:
             violating.add(idx)
-            columns[idx] = [(idx, Fraction(1))]
+            columns[idx] = [(idx, one)]
             continue
         if not undet:
             columns[idx] = []
             continue
-        succ = _transitions(clauses, marks, heuristic, n)
+        succ = _transitions(undet.values(), idx, free_vars, heuristic, weight)
         columns[idx] = succ
         for s2, _ in succ:
-            if s2 not in seen:
-                seen.add(s2)
-                stack.append((s2, unpack_state(s2, n)))
+            if s2 in seen:
+                continue
+            seen.add(s2)
+            v, true_lit = steps[s2 - idx]
+            child = dict(undet)
+            not_false = (true_lit ^ 1).__ne__  # keeps all but v's false slots
+            for cid in undet.keys() & occurs[v]:
+                slots = undet[cid]
+                if true_lit in slots:
+                    del child[cid]
+                    continue
+                rest = tuple(filter(not_false, slots))
+                if not rest:
+                    child = None
+                    break
+                child[cid] = rest
+            at = free_vars.index(v)
+            stack.append((s2, free_vars[:at] + free_vars[at + 1:], child))
     return EvolutionOperator(n, columns, violating)
 
 
 def transition_probs(instance: Instance, heuristic: str,
                      marks: Sequence[int]) -> List[Tuple[int, Fraction]]:
     """Successors of one partial state (a sequence of cnf marks) as (packed
-    index, exact weight) pairs."""
-    return _transitions(instance.clauses(), marks, heuristic, instance.n_vars)
+    index, exact weight) pairs, classified from scratch with cnf.classify."""
+    _check_heuristic(heuristic)
+    violated, undet = classify(instance.clauses(), marks)
+    if violated:
+        raise ValueError("transition probabilities are undefined on a violating state")
+    free_vars = [v for v in range(instance.n_vars) if marks[v] == U]
+    return _transitions(undet, pack_state(marks), free_vars, heuristic, Fraction)
 
 
 def branch_function_sequence(instance: Instance, heuristic: str, t_max: int,
                              operator: Optional[EvolutionOperator] = None
                              ) -> List[Fraction]:
-    """B(0), B(1), ..., B(t_max) by forward application of the operator to U."""
+    """B(0), B(1), ..., B(t_max) in one pass over the depth layers of the
+    closure of U (see the module docstring)."""
     if t_max < 0:
         raise ValueError("T must be >= 0")
     op = operator or build_evolution_operator(instance, heuristic)
-    mass = {pack_state((U,) * instance.n_vars): Fraction(1)}
-    seq = [sum(mass.values(), Fraction(0))]
-    for _ in range(t_max):
-        mass = op.apply_forward(mass)
-        seq.append(sum(mass.values(), Fraction(0)))
+    columns, violating = op.columns, op.violating
+    # masses at depth t are integers over scale**t, where scale is the lcm of
+    # the weight denominators: weight w maps mass m to m * (w * scale)
+    scale = math.lcm(*{w.denominator for col in columns.values() for _, w in col})
+    absorbed = 0
+    live = {0: 1}  # all mass on the all-undetermined state
+    seq = [Fraction(1)]
+    den = 1
+    while len(seq) <= t_max and live:
+        nxt: Dict[int, int] = {}
+        absorbed *= scale
+        den *= scale
+        for s, m in live.items():
+            last = None  # consecutive entries often share one weight object
+            for s2, w in columns[s]:
+                if w is not last:
+                    last = w
+                    mw = m * (w.numerator * (scale // w.denominator))
+                if s2 in violating:
+                    absorbed += mw
+                elif s2 in nxt:
+                    nxt[s2] += mw
+                else:
+                    nxt[s2] = mw
+        live = nxt
+        seq.append(Fraction(absorbed + sum(live.values()), den))
+    seq.extend([seq[-1]] * (t_max + 1 - len(seq)))
     return seq
 
 
@@ -198,15 +265,17 @@ def branch_function(instance: Instance, heuristic: str, t: int) -> Fraction:
     return branch_function_sequence(instance, heuristic, t)[-1]
 
 
-def stationary_tree_size(instance: Instance, heuristic: str
+def stationary_tree_size(instance: Instance, heuristic: str,
+                         operator: Optional[EvolutionOperator] = None
                          ) -> Tuple[int, Fraction]:
     """(T*, B*): the smallest nonzero T with B stationary from it, and the
-    stationary value, which is the expected refutation-tree leaf count."""
+    stationary value, which is the expected refutation-tree leaf count.
+    `operator`, if given, is the instance's operator under the heuristic."""
     if brute_force_satisfiable(instance):
         raise SatisfiableInstanceError(
             "stationary tree size requires an unsatisfiable instance")
     n = instance.n_vars
-    seq = branch_function_sequence(instance, heuristic, n + 1)
+    seq = branch_function_sequence(instance, heuristic, n + 1, operator)
     b_star = seq[n + 1]
     if seq[n] != b_star:
         raise AssertionError("branch function failed to become stationary by T=N")

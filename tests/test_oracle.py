@@ -106,6 +106,16 @@ def test_branch_function_monotone_and_stationary():
         assert seq[inst.n_vars] == seq[inst.n_vars + 1]
 
 
+def test_unknown_heuristic_rejected():
+    # the names are case-sensitive, as in DpllSolver
+    calls = (lambda: build_evolution_operator(I3, "guc"),
+             lambda: transition_probs(I3, "guc", parse_marks("uuu")),
+             lambda: stationary_tree_size(I3, "guc"))
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown heuristic 'guc'"):
+            call()
+
+
 def test_var_cap():
     big = Instance(13, [clause(1, 2, 3)])
     with pytest.raises(ValueError):

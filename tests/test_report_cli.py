@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from satgrowth import annealed, cli, cnf, report
+from satgrowth import annealed, cli, cnf, oracle, report
 from satgrowth.ensemble import EnsembleConfig, extrapolate_omega, run_ensemble
 
 
@@ -55,11 +55,27 @@ def test_cli_gen_solve_roundtrip(tmp_path, capsys):
         "567f0b4127915dc09ccc74c771b2ffd7"
 
 
-def test_cli_oracle(tmp_path, capsys):
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_cli_oracle(tmp_path, capsys, monkeypatch):
     cnf_path = str(tmp_path / "small.cnf")
     cli.main(["gen", "--n-vars", "6", "--n3", "38", "--seed", "11",
               "--out", cnf_path])
+    builds = _counting(monkeypatch, oracle, "build_evolution_operator")
+    checks = _counting(monkeypatch, oracle, "brute_force_satisfiable")
     assert cli.main(["oracle", cnf_path, "--mc", "500"]) == 0
+    assert len(builds) == 1 and len(checks) == 1
     out = capsys.readouterr().out
     assert "B(T):" in out and "monte carlo leaves:" in out
     lines = out.splitlines()
