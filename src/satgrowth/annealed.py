@@ -402,16 +402,14 @@ def _engine_step(arr: np.ndarray, c2_lo: int, c3_lo: int, T: int, N: int,
 def evolve_branch_counts(alpha0: float, N: int,
                          pruning_threshold: float = 1e-12,
                          t_max: Optional[int] = None,
-                         stop_on_decline: bool = True,
                          tail: float = 1e-14
                          ) -> Iterator[BranchCountField]:
     """Iterate the annealed chain from mass 1 at (0, 0, round(alpha0 N)).
 
     Yields one BranchCountField per depth T (T = 0 included).  Stops at t_max
-    (default N-5), or two declining steps after the total mass peaks when
-    stop_on_decline is set (the halt regime).  Mass below
-    pruning_threshold x total is dropped each step and reported as the
-    field's pruned_mass.  Raises ValueError unless N >= 6, alpha0 > 0,
+    (default N-5), or two declining steps after the total mass peaks (the
+    halt regime).  Mass below pruning_threshold x total is dropped each step
+    and reported as the field's pruned_mass.  Raises ValueError unless N >= 6, alpha0 > 0,
     0 <= pruning_threshold < 1 and 0 < tail < 1.
     """
     if N < 6:
@@ -456,7 +454,7 @@ def evolve_branch_counts(alpha0: float, N: int,
         field = BranchCountField(T + 1, arr, c2_lo, c3_lo, pruned_mass)
         yield field
         mass = field.total_mass()
-        if stop_on_decline and mass < prev_mass:
+        if mass < prev_mass:
             declines += 1
             if declines >= 2:
                 break

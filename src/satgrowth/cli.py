@@ -12,7 +12,7 @@ import sys
 from . import annealed, cnf, dpll, growth, oracle, report, trajectory
 from .dpll import GUC, HEURISTICS
 from .ensemble import (EnsembleConfig, extrapolate_omega, measure_g_point,
-                       run_ensemble)
+                       run_ensemble, write_records_csv)
 from .trajectory import CriticalLine, GPoint
 
 CONFIG_SCHEMA_VERSION = 1
@@ -36,8 +36,8 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def _add_heuristic(p, default=GUC):
-    p.add_argument("--heuristic", choices=HEURISTICS, default=default)
+def _add_heuristic(p):
+    p.add_argument("--heuristic", choices=HEURISTICS, default=GUC)
 
 
 def _parse_g(text: str) -> GPoint:
@@ -78,7 +78,6 @@ def cmd_solve(args) -> int:
         report.write_run_record_json(args.json, stats, alpha0)
         rec = dict(rec, cloud=f"written to {args.json}")
     rec.pop("cloud", None)
-    rec.pop("assignment", None)
     print(json.dumps(rec, sort_keys=True))
     if stats.result == "sat" and args.model:
         print("v " + " ".join(str((i + 1) if v else -(i + 1))
@@ -115,27 +114,32 @@ def cmd_ensemble(args) -> int:
         values = load_config_file(args.config)
 
     def pick(flag, key, cast, default=None):
+        # every key read is removed, so what is left is unknown
+        raw = values.pop(key, None)
         if flag is not None:
             return flag
-        if key in values:
-            return cast(values[key])
-        return default
+        return default if raw is None else cast(raw)
     alpha0 = pick(args.alpha0, "alpha0", float)
     if alpha0 is None:
         raise ValueError("alpha0 required (flag or config)")
     n_values = pick(args.n_values and [int(x) for x in args.n_values.split(",")],
                     "n_values", lambda s: [int(x) for x in s.split(",")])
+    if n_values is None:
+        raise ValueError("n_values required (flag or config)")
     cfg = EnsembleConfig(
         alpha0=alpha0,
         n_values=n_values,
         trials_per_n=pick(args.trials, "trials_per_n", int, 20),
         base_seed=pick(args.seed, "base_seed", int, 0),
         heuristic=pick(args.heuristic_opt, "heuristic", str, GUC),
-        output_path=pick(args.out, "output_path", str),
         parallelism=pick(args.workers, "parallelism", int))
+    out_path = pick(args.out, "output_path", str)
+    if values:
+        raise ValueError(f"unknown config key(s): {', '.join(sorted(values))}")
     records = run_ensemble(cfg)
-    if cfg.output_path:
-        print(f"wrote {len(records)} records to {cfg.output_path}")
+    if out_path:
+        write_records_csv(records, out_path)
+        print(f"wrote {len(records)} records to {out_path}")
     if args.fit:
         est = extrapolate_omega(records)
         print(f"omega = {est.omega:.5f} +- {est.std_error:.5f} "
@@ -145,8 +149,8 @@ def cmd_ensemble(args) -> int:
                   f"+- {est.per_n_stderr[n]:.4f} median {est.per_n_median[n]:.4f} "
                   f"residual {est.residuals[n]:+.4f}")
     if args.measure_g:
-        gm = measure_g_point(alpha0, cfg.n_values[0], cfg.trials_per_n,
-                             cfg.base_seed, cfg.heuristic, cfg.parallelism)
+        gm = measure_g_point([r for r in records
+                              if r.n_vars == cfg.n_values[0]])
         print(f"G: p = {gm.g.p_g:.4f} +- {gm.se_p:.4f}, "
               f"alpha = {gm.g.alpha_g:.4f} +- {gm.se_alpha:.4f}, "
               f"t = {gm.g.t_g:.4f} +- {gm.se_t:.4f} "
@@ -157,7 +161,7 @@ def cmd_ensemble(args) -> int:
 def cmd_ode(args) -> int:
     if args.alpha_l:
         al = trajectory.find_alpha_l(args.heuristic)
-        p_t, t_t = trajectory.tricritical_check(args.heuristic)
+        p_t, t_t = trajectory.tricritical_check(al, args.heuristic)
         print(f"alpha_L({args.heuristic}) = {al:.5f}; tangency p = {p_t:.5f} "
               f"at t = {t_t:.5f}")
         return 0
@@ -189,10 +193,9 @@ def cmd_pde(args) -> int:
         print(f"omega_upper = {res.omega_bits:.5f} bits "
               f"(omega_G = {res.omega_g_bits:.5f}, halted = {res.halted})")
         return 0
-    if args.out:
-        path = report.report_growth_series(args.out, args.alpha0, args.heuristic)
-        print(f"wrote {path}")
     series = growth.solve_characteristics(args.alpha0, args.heuristic)
+    if args.out:
+        print(f"wrote {report.report_growth_series(args.out, series)}")
     if series.halted:
         print(f"halt at t = {series.t_halt:.5f}; omega_THE = "
               f"{series.omega_bits:.5f} bits")
@@ -226,11 +229,11 @@ def cmd_report(args) -> int:
     elif args.kind == "cloud":
         path = report.report_cloud(args.out, args.alpha0, args.n_vars, args.seed)
     elif args.kind == "surface":
-        path = report.report_surface(args.out, args.alpha0, args.t)
-    elif args.kind == "mass-curve":
-        path = report.report_mass_curve(args.out, args.alpha0, args.n_vars)
-    else:
-        raise ValueError(f"unknown report kind {args.kind!r}")
+        path = report.report_surface(
+            args.out, growth.legendre_surface(args.alpha0, GUC, args.t))
+    else:  # mass-curve
+        path = report.write_mass_curve(
+            args.out, annealed.mass_curve(args.alpha0, args.n_vars))
     print(f"wrote {path}")
     return 0
 

@@ -19,6 +19,7 @@ from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 U, T, F = 0, 1, 2
 _MARKS = {"u": U, "t": T, "f": F}
+BRUTE_FORCE_MAX_VARS = 24
 
 Clause = Tuple[int, ...]
 
@@ -184,11 +185,12 @@ def generate_random_instance(n_vars: int, n_2clauses: int, n_3clauses: int,
     return Instance._from_buffers(n_vars, lits, starts)
 
 
-def brute_force_satisfiable(instance: Instance, max_vars: int = 24) -> bool:
-    """Exhaustive SAT check over all 2^N assignments (bitmask sweep)."""
+def brute_force_satisfiable(instance: Instance) -> bool:
+    """Exhaustive SAT check over all 2^N assignments (bitmask sweep), for
+    N <= BRUTE_FORCE_MAX_VARS."""
     n = instance.n_vars
-    if n > max_vars:
-        raise ValueError(f"brute force capped at {max_vars} variables")
+    if n > BRUTE_FORCE_MAX_VARS:
+        raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX_VARS} variables")
     pos = []
     neg = []
     for c in instance.clauses():

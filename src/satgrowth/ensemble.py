@@ -33,8 +33,7 @@ class EnsembleConfig:
     trials_per_n: int
     base_seed: int = 0
     heuristic: str = GUC
-    output_path: Optional[str] = None
-    parallelism: Optional[int] = None
+    parallelism: Optional[int] = None   # worker processes; None: all cores
 
     def __post_init__(self):
         self.n_values = tuple(int(n) for n in self.n_values)
@@ -44,6 +43,8 @@ class EnsembleConfig:
             raise ValueError("trials_per_n must be >= 1")
         if self.heuristic not in HEURISTICS:
             raise ValueError(f"unknown heuristic {self.heuristic!r}")
+        if self.parallelism is not None and self.parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
 
 
 @dataclass
@@ -86,9 +87,9 @@ def _run_block(args) -> List[RunRecord]:
 
 def run_ensemble(config: EnsembleConfig) -> List[RunRecord]:
     """One fresh instance and one solve per (N, trial); deterministic under a
-    fixed base seed regardless of the worker count.  Blocks go to the pool
-    largest N first, so the longest solves do not start last and leave
-    workers idle at the end."""
+    fixed base seed regardless of the worker count (write_records_csv saves
+    them).  Blocks go to the pool largest N first, so the longest solves do
+    not start last and leave workers idle at the end."""
     workers = config.parallelism or os.cpu_count() or 1
     blocks = []
     for n in reversed(config.n_values):
@@ -97,14 +98,13 @@ def run_ensemble(config: EnsembleConfig) -> List[RunRecord]:
             blocks.append((config.alpha0, config.heuristic, n, t0,
                            min(t0 + step, config.trials_per_n), config.base_seed))
     if workers > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool forks all of its workers up front, so none beyond the blocks
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             results = list(pool.map(_run_block, blocks))
     else:
         results = [_run_block(b) for b in blocks]
     records = [rec for block in results for rec in block]
     records.sort(key=lambda r: (r.n_vars, r.trial))
-    if config.output_path:
-        write_records_csv(records, config.output_path)
     return records
 
 
@@ -198,17 +198,13 @@ class GMeasurement:
     se_t: float
 
 
-def measure_g_point(alpha0: float, n_vars: int, trials: int, base_seed: int = 0,
-                    heuristic: str = GUC,
-                    parallelism: Optional[int] = None) -> GMeasurement:
-    """Average highest-backtracking-node coordinates over sat runs.
+def measure_g_point(records: Sequence[RunRecord]) -> GMeasurement:
+    """Average highest-backtracking-node coordinates over the sat runs among
+    `records`, which should share one N.
 
     The g-node of a sat run with backtracking estimates the point G where
     the branch trajectory enters the unsat phase.
     """
-    cfg = EnsembleConfig(alpha0, [n_vars], trials, base_seed=base_seed,
-                         heuristic=heuristic, parallelism=parallelism)
-    records = run_ensemble(cfg)
     picked = [r for r in records if r.result == "sat" and r.g_p is not None]
     if not picked:
         raise ValueError("no backtracking sat runs to average")

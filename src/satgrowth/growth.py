@@ -136,14 +136,17 @@ class GrowthSample(NamedTuple):
         return PhasePoint(self.p_star, self.alpha_star, self.t)
 
 
+NEWTON_MAX_ITER = 60
+T_MAX = 0.95          # the march stops before this target time
+SURFACE_Y_SPAN = 1.2  # legendre_surface launches y(0) in [-span, span]^2
+
+
 @dataclass
 class Controls:
     rtol: float = 1e-11
     atol: float = 1e-13
     shoot_tol: float = 1e-10
-    newton_max_iter: int = 60
     t_step: Optional[float] = None   # marching step; default scales with 1/alpha0
-    t_max: float = 0.95
     halt_tol: float = 1e-7
 
 
@@ -189,7 +192,7 @@ class _Shooter:
         y0 = [guess[0], guess[1]]
         end = self.integrate(y0, t_target)
         res = abs(end[0]) + abs(end[1])
-        for _ in range(self.ctl.newton_max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             if res < self.ctl.shoot_tol:
                 return y0, end
             eps = 1e-7
@@ -232,15 +235,8 @@ class _Shooter:
                                 math.exp(h_end) - 1.0)
 
 
-def _start(alpha0: float, c2_init: Optional[float],
-           c3_init: Optional[float]) -> Tuple[float, float]:
-    """Initial densities (c2, c3), by default the 3-SAT start (0, alpha0)."""
-    return (0.0 if c2_init is None else c2_init,
-            alpha0 if c3_init is None else c3_init)
-
-
 def solve_characteristics(alpha0: float, heuristic: str,
-                          c2_init: Optional[float] = None,
+                          c2_init: float = 0.0,
                           c3_init: Optional[float] = None,
                           controls: Optional[Controls] = None) -> GrowthSeries:
     """March target times from 0, shooting each, until the split probability
@@ -250,7 +246,8 @@ def solve_characteristics(alpha0: float, heuristic: str,
     Default initial data is the 3-SAT start (c2, c3) = (0, alpha0); pass the
     G-point densities (alpha_G (1-p_G), alpha_G p_G) for upper-sat subtrees.
     """
-    c2_init, c3_init = _start(alpha0, c2_init, c3_init)
+    if c3_init is None:
+        c3_init = alpha0
     ctl = controls or Controls()
     shooter = _Shooter(heuristic, c2_init, c3_init, ctl)
     dt = ctl.t_step if ctl.t_step is not None else min(0.02, 0.08 / max(alpha0, 1.0))
@@ -260,7 +257,7 @@ def solve_characteristics(alpha0: float, heuristic: str,
     prev_t: Optional[float] = None
     prev_guess = guess
     best = None  # (rho, t, guess, sample) closest approach
-    while t < ctl.t_max:
+    while t < T_MAX:
         y0, smp = shooter.sample(t, guess)
         samples.append(smp)
         if smp.rho_split < 0.0:
@@ -320,8 +317,7 @@ class UpperSatResult(NamedTuple):
     halted: bool            # False: marginal G, closest-approach value used
 
 
-def omega_upper_sat_from_g(g: GPoint, heuristic: str = GUC,
-                           controls: Optional[Controls] = None) -> UpperSatResult:
+def omega_upper_sat_from_g(g: GPoint, heuristic: str = GUC) -> UpperSatResult:
     """Upper-sat composition from a known G point (tabulated or measured):
     rerun the growth process from the G initial data and scale by (1 - t_G).
 
@@ -331,7 +327,7 @@ def omega_upper_sat_from_g(g: GPoint, heuristic: str = GUC,
     """
     series = solve_characteristics(0.0, heuristic,
                                    c2_init=g.alpha_g * (1.0 - g.p_g),
-                                   c3_init=g.alpha_g * g.p_g, controls=controls)
+                                   c3_init=g.alpha_g * g.p_g)
     if series.omega_nats is None:
         raise ShootingError("no growth sample produced for the G start")
     om_g = series.omega_bits
@@ -339,8 +335,8 @@ def omega_upper_sat_from_g(g: GPoint, heuristic: str = GUC,
 
 
 def omega_upper_sat(alpha0: float, heuristic: str = GUC,
-                    critical_line: Optional[CriticalLine] = None,
-                    controls: Optional[Controls] = None) -> UpperSatResult:
+                    critical_line: Optional[CriticalLine] = None
+                    ) -> UpperSatResult:
     """Upper-sat prediction omega_G x (1 - t_G): locate G where the branch
     trajectory crosses the critical line, then grow the subtree from G."""
     line = critical_line or CriticalLine()
@@ -348,7 +344,7 @@ def omega_upper_sat(alpha0: float, heuristic: str = GUC,
     if g is None:
         raise ValueError(f"trajectory from alpha0={alpha0} never crosses the "
                          "critical line (alpha0 <= alpha_L?)")
-    return omega_upper_sat_from_g(g, heuristic, controls=controls)
+    return omega_upper_sat_from_g(g, heuristic)
 
 
 # ------------------------------------------------------------ omega surface
@@ -362,25 +358,22 @@ class SurfaceSnapshot(NamedTuple):
 
 
 def legendre_surface(alpha0: float, heuristic: str, t: float,
-                     y_span: float = 1.2, n_fan: int = 41,
-                     grid: Tuple[int, int] = (40, 40),
-                     c2_init: Optional[float] = None,
-                     c3_init: Optional[float] = None,
-                     controls: Optional[Controls] = None) -> SurfaceSnapshot:
-    """Snapshot of the omega(p, alpha; t) surface via a fan of characteristics.
+                     n_fan: int = 41, grid: Tuple[int, int] = (40, 40)
+                     ) -> SurfaceSnapshot:
+    """Snapshot of the omega(p, alpha; t) surface of the 3-SAT start
+    (0, alpha0) via a fan of characteristics.
 
     Each characteristic launched from y(0) on a grid contributes one surface
     sample at its endpoint: densities c = q(t) and height
     omega = phi - y(t) . q(t) (the Legendre transform at its stationary
     point).  Samples are rasterized onto a (p, alpha) grid keeping cell maxima.
     """
-    shooter = _Shooter(heuristic, *_start(alpha0, c2_init, c3_init),
-                       controls or Controls())
+    shooter = _Shooter(heuristic, 0.0, alpha0, Controls())
     raw = []
     for i in range(n_fan):
-        y2 = -y_span + 2.0 * y_span * i / (n_fan - 1)
+        y2 = -SURFACE_Y_SPAN + 2.0 * SURFACE_Y_SPAN * i / (n_fan - 1)
         for j in range(n_fan):
-            y3 = -y_span + 2.0 * y_span * j / (n_fan - 1)
+            y3 = -SURFACE_Y_SPAN + 2.0 * SURFACE_Y_SPAN * j / (n_fan - 1)
             try:
                 end = shooter.integrate((y2, y3), t)
             except (OverflowError, ValueError, IntegrationError):
@@ -391,7 +384,7 @@ def legendre_surface(alpha0: float, heuristic: str, t: float,
             p, alpha, _ = to_phase_coords(DensityState(t, c2, c3))
             raw.append((p, alpha, phi - y2_end * c2 - y3_end * c3))
     if not raw:
-        raise ValueError("no valid surface samples; widen y_span or lower t")
+        raise ValueError("no valid surface samples; lower t")
     n_p, n_a = grid
     p_lo = min(r[0] for r in raw)
     p_hi = max(r[0] for r in raw)

@@ -32,7 +32,7 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 
 
 
 def integrate_ode(f, t0, t1, y0, rtol=1e-10, atol=1e-12, max_step=None,
-                  first_step=None, stop=None):
+                  stop=None):
     """Integrate y' = f(t, y) from t0 to t1 with a Dormand-Prince 5(4) pair.
 
     f returns a list of derivatives.  `stop(t, y)`, if given, is checked after
@@ -47,7 +47,7 @@ def integrate_ode(f, t0, t1, y0, rtol=1e-10, atol=1e-12, max_step=None,
     span = t1 - t0
     if max_step is None:
         max_step = abs(span) / 16 or 1e-3
-    h = first_step if first_step is not None else min(max_step, abs(span) / 100 or 1e-6)
+    h = min(max_step, abs(span) / 100 or 1e-6)
     ts = [t]
     ys = [list(y)]
     k1 = f(t, y)
@@ -116,8 +116,9 @@ def hermite_eval(t0, y0, f0, t1, y1, f1, t):
             for a, fa, b, fb in zip(y0, f0, y1, f1)]
 
 
-def bisect_root(fn, lo, hi, tol=1e-10, max_iter=200):
-    """Bisection for fn(lo) and fn(hi) of opposite sign; returns the midpoint."""
+def bisect_root(fn, lo, hi, tol=1e-10):
+    """Bisection for fn(lo) and fn(hi) of opposite sign; returns the midpoint
+    once the bracket is narrower than tol, or after 200 halvings."""
     flo = fn(lo)
     fhi = fn(hi)
     if flo == 0.0:
@@ -126,7 +127,7 @@ def bisect_root(fn, lo, hi, tol=1e-10, max_iter=200):
         return hi
     if (flo > 0) == (fhi > 0):
         raise ValueError(f"root not bracketed on [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = fn(mid)
         if fmid == 0.0 or (hi - lo) < tol:

@@ -80,8 +80,11 @@ def _transitions(undet: Iterable[Sequence[int]], idx: int,
     Unit clauses present: weight h(j|S) g(x|S,j) on the single forced child
     per (variable, value); weights sum to 1.  No unit clause: each candidate
     variable j contributes BOTH children with weight h(j|S), so the total
-    outgoing weight is 2.
+    outgoing weight is 2.  No undetermined clause (all satisfied): no
+    successor, whatever the heuristic.
     """
+    if not undet:
+        return []
     units = [slots[0] for slots in undet if len(slots) == 1]
     if units:
         c1 = len(units)
@@ -89,16 +92,12 @@ def _transitions(undet: Iterable[Sequence[int]], idx: int,
                  weight(cnt, c1))
                 for lit, cnt in sorted(Counter(units).items())]
     if heuristic == dpll.GUC:
-        if not undet:
-            raise ValueError("GUC selection with no undetermined clause")
         kmin = min(map(len, undet))
         shortest = [slots for slots in undet if len(slots) == kmin]
         den = len(shortest) * kmin
         counts = Counter(lit >> 1 for slots in shortest for lit in slots)
         h = [(v, weight(cnt, den)) for v, cnt in sorted(counts.items())]
     else:  # UC and SC1: uniform over undetermined variables
-        if not free_vars:
-            raise ValueError("selection with no undetermined variable")
         w = weight(1, len(free_vars))
         h = [(v, w) for v in free_vars]
     out: List[Tuple[int, Fraction]] = []
@@ -177,9 +176,6 @@ def build_evolution_operator(instance: Instance, heuristic: str,
         if undet is None:
             violating.add(idx)
             columns[idx] = [(idx, one)]
-            continue
-        if not undet:
-            columns[idx] = []
             continue
         succ = _transitions(undet.values(), idx, free_vars, heuristic, weight)
         columns[idx] = succ

@@ -3,7 +3,9 @@ phase-diagram trajectories, search-tree clouds, omega table, growth surface,
 and annealed mass curves.
 
 All outputs are plain CSV with a header row and fixed number formatting, so
-identical inputs produce byte-identical files.
+identical inputs produce byte-identical files.  The surface, mass-curve and
+growth-series writers take the computed result, so a caller that also
+prints from it computes it once.
 """
 
 import csv
@@ -69,13 +71,13 @@ def report_table1(out_path: str, omega_exp: Dict[float, OmegaEstimate],
 
 def report_phase_diagram(out_dir: str, heuristic: str = GUC,
                          branch_alphas: Sequence[float] = (2.0, 2.8, 3.5),
-                         tree_alphas: Sequence[float] = (4.3, 7.0, 10.0),
-                         critical_line: Optional[CriticalLine] = None) -> Dict[str, str]:
+                         tree_alphas: Sequence[float] = (4.3, 7.0, 10.0)
+                         ) -> Dict[str, str]:
     """Phase-diagram data: branch trajectories (sat side), tree trajectories
-    (dominant-branch densities in the unsat growth regime), the critical
-    line, and the halt line."""
+    (dominant-branch densities in the unsat growth regime), the default
+    critical line, and the halt line."""
     os.makedirs(out_dir, exist_ok=True)
-    line = critical_line or CriticalLine()
+    line = CriticalLine()
     paths = {}
     rows = []
     for a0 in branch_alphas:
@@ -109,10 +111,8 @@ def report_cloud(out_path: str, alpha0: float, n_vars: int, seed: int,
                       [[pt.p, pt.alpha, pt.t] for pt in stats.cloud])
 
 
-def report_surface(out_path: str, alpha0: float, t: float,
-                   heuristic: str = GUC, **kw) -> str:
+def report_surface(out_path: str, snap: growth.SurfaceSnapshot) -> str:
     """Gridded omega(p, alpha; t) snapshot (nats); absent cells left empty."""
-    snap = growth.legendre_surface(alpha0, heuristic, t, **kw)
     rows = []
     for i, a in enumerate(snap.alpha_axis):
         for j, p in enumerate(snap.p_axis):
@@ -121,28 +121,17 @@ def report_surface(out_path: str, alpha0: float, t: float,
     return _write_csv(out_path, ["p", "alpha", "omega_nats"], rows)
 
 
-def report_mass_curve(out_path: str, alpha0: float, n_vars: int,
-                      pruning_threshold: float = 1e-12) -> str:
-    """Annealed-chain mass curve: total branch mass, mean clause counts and
-    the mass pruned at each step."""
-    return write_mass_curve(out_path,
-                            annealed.mass_curve(alpha0, n_vars, pruning_threshold))
-
-
 def write_mass_curve(out_path: str, curve: Sequence[annealed.AnnealedStep]) -> str:
-    """The CSV of report_mass_curve for an already computed curve."""
+    """Annealed-chain mass curve (annealed.mass_curve): total branch mass,
+    mean clause counts and the mass pruned at each step."""
     return _write_csv(out_path,
                       ["T", "total_mass", "mean_c2", "mean_c3", "pruned_mass"],
                       [[st.T, st.total_mass, st.mean_c2, st.mean_c3, st.pruned_mass]
                        for st in curve])
 
 
-def report_growth_series(out_path: str, alpha0: float, heuristic: str = GUC,
-                         c2_init: Optional[float] = None,
-                         c3_init: Optional[float] = None) -> str:
+def report_growth_series(out_path: str, series: growth.GrowthSeries) -> str:
     """Tree-trajectory series: omega*(t), dominant densities, split probability."""
-    series = growth.solve_characteristics(alpha0, heuristic,
-                                          c2_init=c2_init, c3_init=c3_init)
     return _write_csv(out_path,
                       ["t", "omega_nats", "omega_bits", "c2", "c3", "p",
                        "alpha", "rho_split"],

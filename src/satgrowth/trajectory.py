@@ -51,13 +51,15 @@ C2_NEGATIVE = "c2_negative"
 S_LIMIT = "s_limit"
 
 
+# branch integration horizon in s = -ln(1-t), and the clause density below
+# which the clauses count as exhausted
+S_MAX = 14.0
+EPS_END = 1e-10
+
+
 @dataclass
 class StepControl:
-    rtol: float = 1e-10
-    atol: float = 1e-12
     max_step: float = 0.02   # in s = -ln(1-t)
-    s_max: float = 14.0
-    eps_end: float = 1e-10
 
 
 def heuristic_h(kind: str, c3: float, one_t: float) -> float:
@@ -140,17 +142,16 @@ def integrate_branch(alpha0: float, heuristic: str,
     def stop(s, y):
         c2, c3 = y
         one_t = math.exp(-s)
-        return (c2 + c3 < ctl.eps_end or c2 < 0.0
+        return (c2 + c3 < EPS_END or c2 < 0.0
                 or 1.0 - c2 / one_t < 0.0)
 
-    ss, ys, fs = integrate_ode(rhs, 0.0, ctl.s_max, [0.0, alpha0],
-                               rtol=ctl.rtol, atol=ctl.atol,
+    ss, ys, fs = integrate_ode(rhs, 0.0, S_MAX, [0.0, alpha0],
                                max_step=ctl.max_step, stop=stop)
     states = [DensityState(1.0 - math.exp(-s), y[0], y[1]) for s, y in zip(ss, ys)]
     derivs = [(f[0], f[1]) for f in fs]
     # termination reason from the final state
     last = states[-1]
-    if last.c2 + last.c3 < ctl.eps_end:
+    if last.c2 + last.c3 < EPS_END:
         term = CLAUSES_EXHAUSTED
     elif rho1(last) < 0.0:
         term = RHO1_NEGATIVE
@@ -192,13 +193,12 @@ def crosses_sat_boundary(alpha0: float, heuristic: str,
 
 
 def find_alpha_l(heuristic: str, tol: float = 2e-4,
-                 bracket: Tuple[float, float] = (2.0, 4.0),
                  step_control: Optional[StepControl] = None) -> float:
     """Largest start ratio whose trajectory never leaves the sat phase,
     by bisection on the crossing predicate to width tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lo, hi = bracket
+    lo, hi = 2.0, 4.0  # brackets alpha_L under every heuristic
     if crosses_sat_boundary(lo, heuristic, step_control):
         raise ValueError(f"bracket low end {lo} already crosses")
     if not crosses_sat_boundary(hi, heuristic, step_control):
@@ -212,10 +212,9 @@ def find_alpha_l(heuristic: str, tol: float = 2e-4,
     return 0.5 * (lo + hi)
 
 
-def tricritical_check(heuristic: str, tol: float = 2e-4) -> Tuple[float, float]:
-    """Contact point of the marginal trajectory: solves rho1 = drho1/dt = 0
-    numerically along the alpha_L trajectory; returns (p_T, t_T)."""
-    alpha_l = find_alpha_l(heuristic, tol=tol)
+def tricritical_check(alpha_l: float, heuristic: str) -> Tuple[float, float]:
+    """Contact point of the marginal trajectory from alpha_l (find_alpha_l):
+    solves rho1 = drho1/dt = 0 numerically along it; returns (p_T, t_T)."""
     traj = integrate_branch(alpha_l, heuristic)
     st = traj.rho1_min_state
     return to_phase_coords(st).p, st.t
@@ -261,8 +260,8 @@ class CriticalLine:
         return a0 + (a1 - a0) * (p - p0) / (p1 - p0)
 
 
-def find_g(alpha0: float, heuristic: str, critical_line: CriticalLine,
-           step_control: Optional[StepControl] = None) -> Optional[GPoint]:
+def find_g(alpha0: float, heuristic: str,
+           critical_line: CriticalLine) -> Optional[GPoint]:
     """First crossing of the branch trajectory with the critical line; None
     when the trajectory stays in the sat phase (alpha0 <= alpha_L).
 
@@ -272,7 +271,7 @@ def find_g(alpha0: float, heuristic: str, critical_line: CriticalLine,
     """
     if alpha0 >= critical_line.alpha_c(1.0):
         raise ValueError("alpha0 is not in the upper sat regime for this line")
-    traj = integrate_branch(alpha0, heuristic, step_control)
+    traj = integrate_branch(alpha0, heuristic)
 
     def margin_at(t):
         st = traj.at(t)

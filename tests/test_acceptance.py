@@ -90,9 +90,10 @@ def test_alpha_l_and_tricritical():
     al_uc = trajectory.find_alpha_l("UC")
     marginal = trajectory.integrate_branch(al_guc, "GUC")
     tang = trajectory.to_phase_coords(marginal.rho1_min_state)
-    p_uc, _ = trajectory.tricritical_check("UC")
-    p_guc, _ = trajectory.tricritical_check("GUC")
-    p_sc1, _ = trajectory.tricritical_check("SC1")
+    p_uc, _ = trajectory.tricritical_check(al_uc, "UC")
+    p_guc, _ = trajectory.tricritical_check(al_guc, "GUC")
+    p_sc1, _ = trajectory.tricritical_check(trajectory.find_alpha_l("SC1"),
+                                            "SC1")
     ok = (abs(al_guc - 3.003) < 0.01 and abs(al_uc - 8 / 3) < 0.01
           and abs(tang.p - 0.4) < 0.01 and abs(tang.alpha - 5 / 3) < 0.01
           and abs(p_uc - 0.4) < 0.005 and abs(p_guc - 0.4) < 0.005
@@ -128,7 +129,8 @@ def test_halt_constants():
 
 
 def test_upper_sat_composition():
-    gm = measure_g_point(3.5, 150, 600, base_seed=11, parallelism=2)
+    gm = measure_g_point(run_ensemble(
+        EnsembleConfig(3.5, [150], 600, base_seed=11, parallelism=2)))
     res = growth.omega_upper_sat_from_g(gm.g, "GUC")
     # the average G over 600 sat runs at N=150; the finite-size average sits
     # a few percent below the asymptotic intersection (0.78, 3.02)

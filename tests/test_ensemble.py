@@ -6,7 +6,7 @@ from satgrowth import ensemble
 from satgrowth.ensemble import (EnsembleConfig, GMeasurement, RunRecord,
                                 derive_seed, extrapolate_omega,
                                 measure_g_point, read_records_csv,
-                                run_ensemble)
+                                run_ensemble, write_records_csv)
 
 
 def _strip_runtime(records):
@@ -27,6 +27,8 @@ def test_config_validation():
         EnsembleConfig(4.3, [20, 30], 0)
     with pytest.raises(ValueError):
         EnsembleConfig(4.3, [20], 5, heuristic="nope")
+    with pytest.raises(ValueError):
+        EnsembleConfig(4.3, [20], 5, parallelism=0)
 
 
 def test_worker_count_independent():
@@ -34,6 +36,31 @@ def test_worker_count_independent():
     seq = run_ensemble(EnsembleConfig(**base, parallelism=1))
     par = run_ensemble(EnsembleConfig(**base, parallelism=2))
     assert _strip_runtime(seq) == _strip_runtime(par)
+
+
+def test_pool_sized_by_blocks(monkeypatch):
+    # the pool forks every worker it is sized for, so it never gets more
+    # workers than blocks; the recorder runs the blocks in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", RecordingPool)
+    base = dict(alpha0=5.0, n_values=[10], trials_per_n=3, base_seed=2)
+    records = run_ensemble(EnsembleConfig(**base, parallelism=5000))
+    assert sizes == [3]
+    assert _strip_runtime(records) == _strip_runtime(
+        run_ensemble(EnsembleConfig(**base, parallelism=1)))
 
 
 def test_blocks_run_largest_n_first(monkeypatch):
@@ -51,10 +78,11 @@ def test_blocks_run_largest_n_first(monkeypatch):
 
 
 def test_records_csv_roundtrip(tmp_path):
-    cfg = EnsembleConfig(5.0, [12], 10, base_seed=1, parallelism=1,
-                         output_path=str(tmp_path / "recs.csv"))
-    records = run_ensemble(cfg)
-    back = read_records_csv(cfg.output_path)
+    path = str(tmp_path / "recs.csv")
+    records = run_ensemble(EnsembleConfig(5.0, [12], 10, base_seed=1,
+                                          parallelism=1))
+    write_records_csv(records, path)
+    back = read_records_csv(path)
     assert _strip_runtime(back) == _strip_runtime(records)
 
 
@@ -98,7 +126,8 @@ def test_extrapolate_preconditions():
 
 
 def test_measure_g_point_smoke():
-    gm = measure_g_point(3.5, 60, 60, base_seed=4, parallelism=1)
+    gm = measure_g_point(run_ensemble(
+        EnsembleConfig(3.5, [60], 60, base_seed=4, parallelism=1)))
     assert isinstance(gm, GMeasurement)
     assert gm.n_runs > 20
     assert 0.0 < gm.g.t_g < 0.6
@@ -111,7 +140,8 @@ def test_empirical_g_matches_trajectory_crossing():
     # branch trajectory with a critical line anchored at the known point;
     # the alpha average carries a finite-size bias of a few percent downward
     from satgrowth.trajectory import CriticalLine, find_g
-    gm = measure_g_point(3.5, 150, 300, base_seed=21, parallelism=2)
+    gm = measure_g_point(run_ensemble(
+        EnsembleConfig(3.5, [150], 300, base_seed=21, parallelism=2)))
     pred = find_g(3.5, "GUC", CriticalLine([(0.78, 3.02), (1.0, 4.3)]))
     assert abs(gm.g.p_g - pred.p_g) < 0.04
     assert abs(gm.g.alpha_g - pred.alpha_g) < 0.10

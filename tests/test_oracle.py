@@ -43,6 +43,16 @@ def test_transition_prob_examples():
     assert probs == {pack_state((1, 1)): H, pack_state((1, 2)): H}
 
 
+def test_transition_probs_all_satisfied_state():
+    # every clause satisfied: no successor under any heuristic, as in the
+    # operator's empty column
+    inst = Instance(2, [clause(1, 2)])
+    for heuristic in ("UC", "GUC", "SC1"):
+        assert transition_probs(inst, heuristic, parse_marks("tu")) == []
+        op = build_evolution_operator(inst, heuristic)
+        assert op.columns[pack_state(parse_marks("tu"))] == []
+
+
 def test_transition_probs_reject_violating():
     with pytest.raises(ValueError):
         transition_probs(I2, "GUC", parse_marks("tt"))

@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from satgrowth import annealed, cli, cnf, oracle, report
+from satgrowth import (annealed, cli, cnf, ensemble, growth, oracle, report,
+                       trajectory)
 from satgrowth.ensemble import EnsembleConfig, extrapolate_omega, run_ensemble
 
 
@@ -158,6 +159,53 @@ def test_config_file_parsing(tmp_path, capsys):
     assert cli.main(["ensemble", "--config", str(bad), "--workers", "1"]) == 1
 
 
+def test_ensemble_requires_n_values(capsys):
+    assert cli.main(["ensemble", "--alpha0", "5", "--workers", "1"]) == 1
+    assert "n_values required" in capsys.readouterr().err
+
+
+def test_ensemble_config_rejects_unknown_keys(tmp_path, capsys):
+    # a misspelt key is an error, not a silent default
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("schema_version = 1\nalpha0 = 5.0\nn_values = 12\n"
+                   "trials = 30\n")
+    assert cli.main(["ensemble", "--config", str(cfg), "--workers", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "trials" in captured.err and captured.out == ""
+
+
+def test_cli_ensemble_measure_g_reuses_run(monkeypatch, capsys):
+    # the CLI holds its own reference to run_ensemble; count both names
+    cli_runs = _counting(monkeypatch, cli, "run_ensemble")
+    lib_runs = _counting(monkeypatch, ensemble, "run_ensemble")
+    assert cli.main(["ensemble", "--alpha0", "3.5", "--n-values", "40,50",
+                     "--trials", "20", "--seed", "3", "--workers", "1",
+                     "--measure-g"]) == 0
+    assert len(cli_runs) + len(lib_runs) == 1
+    # the records at the first N, so the line is the one a separate
+    # ensemble at N=40 alone gave
+    assert capsys.readouterr().out == (
+        "G: p = 0.7457 +- 0.0416, alpha = 2.9695 +- 0.1131, "
+        "t = 0.2071 +- 0.0365 (14/20 backtracking sat runs)\n")
+
+
+def test_cli_pde_out_solves_once(tmp_path, monkeypatch, capsys):
+    solves = _counting(monkeypatch, growth, "solve_characteristics")
+    path = tmp_path / "series.csv"
+    assert cli.main(["pde", "--alpha0", "10", "--out", str(path)]) == 0
+    assert len(solves) == 1
+    assert capsys.readouterr().out == (
+        f"wrote {path}\nhalt at t = 0.09573; omega_THE = 0.03230 bits\n")
+
+
+def test_cli_ode_alpha_l_bisects_once(monkeypatch, capsys):
+    searches = _counting(monkeypatch, trajectory, "find_alpha_l")
+    assert cli.main(["ode", "--alpha-l", "--heuristic", "GUC"]) == 0
+    assert len(searches) == 1
+    assert capsys.readouterr().out == (
+        "alpha_L(GUC) = 3.00348; tangency p = 0.39998 at t = 0.52889\n")
+
+
 def test_report_table1(tmp_path):
     cfg = EnsembleConfig(10.0, [20, 30, 40], 30, base_seed=6, parallelism=2)
     est = extrapolate_omega(run_ensemble(cfg))
@@ -192,14 +240,16 @@ def test_report_cloud_and_mass(tmp_path):
     with open(cloud, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) > 3
-    mass = report.report_mass_curve(str(tmp_path / "mass.csv"), 10.0, 30)
+    mass = report.write_mass_curve(str(tmp_path / "mass.csv"),
+                                   annealed.mass_curve(10.0, 30))
     assert _read_header(mass) == ["T", "total_mass", "mean_c2", "mean_c3",
                                   "pruned_mass"]
 
 
 def test_report_surface(tmp_path):
-    path = report.report_surface(str(tmp_path / "surf.csv"), 10.0, 0.03,
-                                 n_fan=9, grid=(8, 8))
+    path = report.report_surface(
+        str(tmp_path / "surf.csv"),
+        growth.legendre_surface(10.0, "GUC", 0.03, n_fan=9, grid=(8, 8)))
     assert _read_header(path) == ["p", "alpha", "omega_nats"]
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))

@@ -86,7 +86,7 @@ def test_marginal_trajectory_tangency():
 
 def test_tricritical_point():
     for h, tol in (("UC", 0.005), ("GUC", 0.005), ("SC1", 0.01)):
-        p_t, t_t = tricritical_check(h)
+        p_t, t_t = tricritical_check(find_alpha_l(h), h)
         assert abs(p_t - 0.4) < tol
         assert 0.0 < t_t < 1.0
 
