@@ -39,17 +39,21 @@ C2 = 0, is summed as dense numpy rows (_sliver_rows), bit-identical to the
 guc_transition_row terms.
 
 One binomial pmf (_binom_pmf) gives the transition rows, the sliver rows
-and the passes' weight tables (_pass_weights), always with numpy.  The
-multiply-adds run in the C kernel annealed_kernel.c, which
-native.load_annealed() builds on the first step of a process and
-binds to its AVX2 entry points when the CPU has AVX2, else to its baseline
-ones; when the kernel cannot be built they run in the numpy loops of
-_thin_pass/_convert_pass, which are the readable reference.  All three add
-each cell's terms in the same order, so fields, mass curves and omegas are
-bit-identical across backends.  The yielded fields hold the chain's own
-windows, marked read-only.
+and the passes' weight tables (_pass_weights), always with numpy; a step
+builds each table once.  The multiply-adds run in the C kernel
+annealed_kernel.c, which native.load_annealed() builds on the first step of
+a process and binds to its AVX2 entry points when the CPU has AVX2, else to
+its baseline ones.  A pass with at least THREAD_CELLS destination cells per
+thread splits its destination rows across up to native.usable_cpus()
+threads, each cell computed by one of them.  When the kernel cannot be
+built the passes run in the numpy loops of _thin_pass/_convert_pass, which
+are the readable reference.  Every backend and thread count adds each
+cell's terms in the same order, so fields, mass curves and omegas are
+bit-identical across them.  The yielded fields hold the chain's own
+windows, marked read-only, and each sums its window once.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -60,6 +64,10 @@ from . import native
 from .cnf import ClauseVector
 
 _LGF_CACHE = np.zeros(1)
+
+# destination cells a compiled pass gives each of its threads at least:
+# below that, starting a thread costs more than the thread saves
+THREAD_CELLS = 1 << 14
 
 
 def _lgf(n_max: int) -> np.ndarray:
@@ -169,13 +177,18 @@ class BranchCountField:
             yield (ClauseVector(int(c1), int(i2) + self.c2_lo, int(i3) + self.c3_lo),
                    float(self.array[c1, i2, i3]))
 
+    @functools.cached_property
+    def _mass(self) -> np.float64:
+        """The window's sum, taken once: the chain's windows are read-only."""
+        return self.array.sum()
+
     def total_mass(self) -> float:
-        return float(self.array.sum())
+        return float(self._mass)
 
     def _mean(self, other_axes: Tuple[int, int], lo: int) -> float:
         """Mass-weighted mean of the axis left by summing `other_axes`,
         whose first index holds the value `lo`."""
-        tot = self.array.sum()
+        tot = self._mass
         if tot <= 0:
             return 0.0
         marg = self.array.sum(axis=other_axes)
@@ -194,79 +207,77 @@ def _pass_weights(values: np.ndarray, p: float, tail: float) -> np.ndarray:
 
     Row j holds, at each window index i >= j, the Bin(values[i], p)
     probability of j; taking j items moves mass from index i to i - j.  The
-    rows stop at the binomial support of the largest population, or where
-    the window is narrower than that (no in-window destination is left).
+    rows run to the binomial support of the largest population (one row
+    when p <= 0); rows j past the window's width are zero, since no
+    in-window destination is left.
     """
     c = len(values)
     lo = int(values[0])
-    n_hi = int(values[-1])
-    n_rows = min(_binom_support(n_hi, p, tail) + 1, c)
+    n_rows = _binom_support(int(values[-1]), p, tail) + 1
     table = np.zeros((n_rows, c))
-    for j in range(n_rows):
+    for j in range(min(n_rows, c)):
         table[j, j:] = _binom_pmf(np.arange(lo + j, lo + c), p, j)
     return table
 
 
-def _check_pass(arr: np.ndarray, values: np.ndarray, axis: int,
+def _check_pass(arr: np.ndarray, weights: np.ndarray, axis: int,
                 first_axis: int) -> None:
     """The kernel indexes arr and the weight table by these shapes."""
-    if not (arr.ndim == 3 and first_axis <= axis < 3
-            and len(values) == arr.shape[axis]):
+    if not (arr.ndim == 3 and first_axis <= axis < 3 and weights.ndim == 2
+            and weights.shape[1] == arr.shape[axis]):
         raise ValueError(f"pass along axis {axis} of a {arr.shape} window "
-                         f"with {len(values)} populations")
+                         f"with a {weights.shape} weight table")
 
 
-def _thin_pass(arr: np.ndarray, values: np.ndarray, p: float, tail: float,
-               axis: int) -> np.ndarray:
-    """Population thinning along `axis`: dst = src - j, j ~ Bin(src, p).
+def _threads(kernel: native.AnnealedPasses, cells: int) -> int:
+    """Threads for a compiled pass with `cells` destination cells: at least
+    THREAD_CELLS cells each, at most kernel.threads."""
+    return max(1, min(kernel.threads, cells // THREAD_CELLS))
 
-    `values` are the actual populations along that axis (ascending, unit
-    step); destinations falling below the window are masked off, so callers
-    must pad the low side by the binomial support first.
+
+def _thin_pass(arr: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+    """Population thinning along `axis`: dst = src - j, j ~ Bin(src, p),
+    with `weights` the _pass_weights table of the populations along that
+    axis.
+
+    Destinations falling below the window are masked off, so callers must
+    pad the low side by the binomial support first.
     """
-    _check_pass(arr, values, axis, 0)
-    if p <= 0.0:
-        return arr.copy()
-    weights = _pass_weights(values, p, tail)
+    _check_pass(arr, weights, axis, 0)
     kernel = native.load_annealed()
     if kernel is None:
         src = np.moveaxis(arr, axis, -1)
         out = np.zeros_like(src)
         c = src.shape[-1]
-        for j, w in enumerate(weights):
+        for j, w in enumerate(weights[:c]):
             out[..., :c - j] += src[..., j:] * w[j:]
         return np.moveaxis(out, -1, axis)
     src = np.ascontiguousarray(arr, dtype=float)
     out = np.zeros(src.shape)
     kernel.thin(src.ctypes.data, out.ctypes.data, math.prod(src.shape[:axis]),
                 src.shape[axis], math.prod(src.shape[axis + 1:]),
-                weights.ctypes.data, len(weights))
+                weights.ctypes.data, len(weights), _threads(kernel, out.size))
     return out
 
 
-def _convert_pass(arr: np.ndarray, values_from: np.ndarray, q: float,
-                  tail: float, axis: int) -> np.ndarray:
-    """Move k items from `axis` to the axis before it, k ~ Bin(pop, q).
+def _convert_pass(arr: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+    """Move k items from `axis` to the axis before it, k ~ Bin(pop, q), with
+    `weights` the _pass_weights table of the donor populations.
 
-    arr is 3-d; `axis` (1 or 2) donates (population values `values_from`),
-    the axis before it receives and grows by the support of k.
+    arr is 3-d; `axis` (1 or 2) donates, the axis before it receives and
+    grows by the support of k, the table's last row.
     """
-    _check_pass(arr, values_from, axis, 1)
-    k_max = _binom_support(int(values_from[-1]), q, tail)
+    _check_pass(arr, weights, axis, 1)
+    k_max = len(weights) - 1
     shape = list(arr.shape)
     shape[axis - 1] += k_max
-    if q <= 0.0:
-        out = np.zeros(shape)
-        out[tuple(slice(0, n) for n in arr.shape)] = arr
-        return out
-    weights = _pass_weights(values_from, q, tail)
     kernel = native.load_annealed()
     if kernel is None:
         # (other, receiver, donor) view; the loop adds along the last two
         src = np.moveaxis(arr, (axis - 1, axis), (1, 2))
         a, b, c = src.shape
         out = np.zeros((a, b + k_max, c))
-        for k, w in enumerate(weights):
+        for k, w in enumerate(weights[:c]):
             out[:, k:k + b, :c - k] += src[:, :, k:] * w[k:]
         return np.moveaxis(out, (1, 2), (axis - 1, axis))
     src = np.ascontiguousarray(arr, dtype=float)
@@ -274,7 +285,7 @@ def _convert_pass(arr: np.ndarray, values_from: np.ndarray, q: float,
     kernel.convert(src.ctypes.data, out.ctypes.data, math.prod(src.shape[:axis - 1]),
                    src.shape[axis - 1], shape[axis - 1], src.shape[axis],
                    math.prod(src.shape[axis + 1:]), weights.ctypes.data,
-                   len(weights))
+                   len(weights), _threads(kernel, out.size))
     return out
 
 
@@ -358,12 +369,17 @@ def _engine_step(arr: np.ndarray, c2_lo: int, c3_lo: int, T: int, N: int,
     c3_vals = np.arange(c3_lo, c3_lo + n3, dtype=float)
 
     def two_then_one(field, vals2):
-        f = _thin_pass(field, vals2, p2, tail, axis=1)    # satisfied 2-clauses
-        return _convert_pass(f, vals2, q2, tail, axis=1)  # 2 -> 1, c1 grows
+        # satisfied 2-clauses, then 2 -> 1 conversion (c1 grows)
+        f = _thin_pass(field, _pass_weights(vals2, p2, tail), axis=1)
+        return _convert_pass(f, _pass_weights(vals2, q2, tail), axis=1)
+
+    # both fields' C3 pools share the step's two tables
+    sat3 = _pass_weights(c3_vals, 3.0 / (2.0 * n), tail)
+    conv3 = _pass_weights(c3_vals, q3, tail)
 
     def three_pool(field):
-        f = _thin_pass(field, c3_vals, 3.0 / (2.0 * n), tail, axis=2)  # satisfied
-        return _convert_pass(f, c3_vals, q3, tail, axis=2)  # 3 -> 2, c2 grows
+        f = _thin_pass(field, sat3, axis=2)     # satisfied
+        return _convert_pass(f, conv3, axis=2)  # 3 -> 2, c2 grows
 
     out_parts = []
     # unit field: c1 >= 1, survival then consume one unit

@@ -13,14 +13,28 @@
    numpy's.  The loops differ from numpy's only in the order in which they
    visit cells: each destination row or block of cells keeps its partial
    sums in registers across j, and the innermost loop runs over contiguous
-   memory. */
+   memory.
 
+   Each call splits its destination rows into nthreads contiguous ranges,
+   one per thread: the (o, r) rows of a thinning pass (single cells when
+   inner == 1), so that a window with one outer row still divides, and the
+   (o, y) rows of a conversion pass.  The calling thread runs the first
+   range; the others run on threads started with pthread_create and joined
+   before the call returns, so no thread outlives it and nothing stays
+   behind to trip over a later fork.  A thread only reads the source and
+   the table and writes the cells of its own rows, each cell by exactly one
+   thread with the same terms in the same order, so the bits do not depend
+   on nthreads.  When a thread cannot be started, the caller runs its range
+   after the others. */
+
+#include <pthread.h>
 #include <stdint.h>
 
 #define BLOCK 8
+#define MAX_THREADS 256
 
-/* One destination row of len cells spaced `inner` apart (inner == 1) or of
-   len rows of inner cells each (inner > 1):
+/* Cells r_lo .. r_hi - 1 of one destination row of len cells spaced `inner`
+   apart (inner == 1) or of len rows of inner cells each (inner > 1):
 
      d[r*inner + t] = sum over j = j_lo .. min(j_hi, len - 1 - r) of
                       s[(j - j_lo)*j_step + (r + j)*inner + t] * w[j*len + r + j]
@@ -31,11 +45,11 @@
 static inline __attribute__((always_inline)) void
 dest_row(double *restrict d, const double *restrict s, int64_t j_step,
          int64_t len, int64_t inner, const double *restrict w, int64_t j_lo,
-         int64_t j_hi)
+         int64_t j_hi, int64_t r_lo, int64_t r_hi)
 {
     if (inner == 1) {
-        int64_t r = 0;
-        for (; r + BLOCK <= len; r += BLOCK) {
+        int64_t r = r_lo;
+        for (; r + BLOCK <= r_hi; r += BLOCK) {
             double acc[BLOCK] = {0.0};
             int64_t j = j_lo;
             /* every lane of the block has a source for these j */
@@ -55,7 +69,7 @@ dest_row(double *restrict d, const double *restrict s, int64_t j_step,
             for (int q = 0; q < BLOCK; q++)
                 d[r + q] = acc[q];
         }
-        for (; r < len; r++) {
+        for (; r < r_hi; r++) {
             double acc = 0.0;
             for (int64_t j = j_lo; j <= j_hi && r + j < len; j++)
                 acc += s[(j - j_lo) * j_step + r + j] * w[j * len + r + j];
@@ -63,7 +77,7 @@ dest_row(double *restrict d, const double *restrict s, int64_t j_step,
         }
         return;
     }
-    for (int64_t r = 0; r < len; r++) {
+    for (int64_t r = r_lo; r < r_hi; r++) {
         double *dr = d + r * inner;
         int64_t t = 0;
         for (; t + BLOCK <= inner; t += BLOCK) {
@@ -86,36 +100,94 @@ dest_row(double *restrict d, const double *restrict s, int64_t j_step,
     }
 }
 
+/* The arguments of one pass; recv and recv_out are unused by thinning. */
+struct pass {
+    const double *src;
+    double *dst;
+    int64_t outer, recv, recv_out, len, inner;
+    const double *w;
+    int64_t nw;
+};
+
 /* Thinning: src and dst are (outer, len, inner); dst[o, i - j, x] =
-   sum over j of src[o, i, x] * w[j, i]. */
+   sum over j of src[o, i, x] * w[j, i].  Computes the flattened (o, r)
+   destination rows lo .. hi - 1. */
 static inline __attribute__((always_inline)) void
-thin(const double *src, double *dst, int64_t outer, int64_t len,
-     int64_t inner, const double *w, int64_t nw)
+thin(const struct pass *p, int64_t lo, int64_t hi)
 {
-    int64_t slab = len * inner;
-    for (int64_t o = 0; o < outer; o++)
-        dest_row(dst + o * slab, src + o * slab, 0, len, inner, w, 0, nw - 1);
+    int64_t len = p->len, slab = len * p->inner;
+    for (int64_t o = lo / len; o * len < hi; o++) {
+        int64_t r_lo = lo > o * len ? lo - o * len : 0;
+        int64_t r_hi = hi < (o + 1) * len ? hi - o * len : len;
+        dest_row(p->dst + o * slab, p->src + o * slab, 0, len, p->inner, p->w,
+                 0, p->nw - 1, r_lo, r_hi);
+    }
 }
 
 /* Conversion: src is (outer, recv, len, inner), dst (outer, recv_out, len,
    inner) with recv_out >= recv + nw - 1; dst[o, y + k, i - k, x] = sum over
-   k of src[o, y, i, x] * w[k, i]. */
+   k of src[o, y, i, x] * w[k, i].  Computes the flattened (o, y)
+   destination rows lo .. hi - 1. */
 static inline __attribute__((always_inline)) void
-convert(const double *src, double *dst, int64_t outer, int64_t recv,
-        int64_t recv_out, int64_t len, int64_t inner, const double *w,
-        int64_t nw)
+convert(const struct pass *p, int64_t lo, int64_t hi)
 {
-    int64_t slab = len * inner;
-    for (int64_t o = 0; o < outer; o++)
-        for (int64_t y = 0; y < recv_out; y++) {
-            int64_t k_lo = y - recv + 1 > 0 ? y - recv + 1 : 0;
-            int64_t k_hi = y < nw - 1 ? y : nw - 1;
-            if (k_lo > k_hi)
-                continue;
-            dest_row(dst + (o * recv_out + y) * slab,
-                     src + (o * recv + y - k_lo) * slab, -slab, len, inner, w,
-                     k_lo, k_hi);
-        }
+    int64_t slab = p->len * p->inner;
+    for (int64_t row = lo; row < hi; row++) {
+        int64_t o = row / p->recv_out, y = row % p->recv_out;
+        int64_t k_lo = y - p->recv + 1 > 0 ? y - p->recv + 1 : 0;
+        int64_t k_hi = y < p->nw - 1 ? y : p->nw - 1;
+        if (k_lo > k_hi)
+            continue;
+        dest_row(p->dst + row * slab, p->src + (o * p->recv + y - k_lo) * slab,
+                 -slab, p->len, p->inner, p->w, k_lo, k_hi, 0, p->len);
+    }
+}
+
+typedef void rows_fn(const struct pass *, int64_t, int64_t);
+
+struct range {
+    rows_fn *rows;
+    const struct pass *p;
+    int64_t lo, hi;
+};
+
+static void *run_range(void *arg)
+{
+    const struct range *r = arg;
+    r->rows(r->p, r->lo, r->hi);
+    return NULL;
+}
+
+/* Runs rows(p, lo, hi) over n_rows rows cut into nthreads contiguous
+   ranges (at most one per row), and returns when all of them are done. */
+static void split(rows_fn *rows, const struct pass *p, int64_t n_rows,
+                  int64_t nthreads)
+{
+    if (n_rows <= 0)
+        return;
+    if (nthreads > n_rows)
+        nthreads = n_rows;
+    if (nthreads > MAX_THREADS)
+        nthreads = MAX_THREADS;
+    if (nthreads <= 1) {
+        rows(p, 0, n_rows);
+        return;
+    }
+    struct range ranges[MAX_THREADS];
+    pthread_t tid[MAX_THREADS];
+    int started[MAX_THREADS];
+    for (int64_t t = 0; t < nthreads; t++)
+        ranges[t] = (struct range){rows, p, n_rows * t / nthreads,
+                                   n_rows * (t + 1) / nthreads};
+    for (int64_t t = 1; t < nthreads; t++)
+        started[t] = pthread_create(&tid[t], NULL, run_range, &ranges[t]) == 0;
+    run_range(&ranges[0]);
+    for (int64_t t = 1; t < nthreads; t++) {
+        if (started[t])
+            pthread_join(tid[t], NULL);
+        else
+            run_range(&ranges[t]);
+    }
 }
 
 /* The exported entry points: the same loops compiled for the baseline
@@ -127,27 +199,58 @@ convert(const double *src, double *dst, int64_t outer, int64_t recv,
    Both pairs give the same bits.  native.py binds the AVX2 pair when
    sg_has_avx2() says the CPU runs it. */
 #define THIN_ARGS const double *src, double *dst, int64_t outer, int64_t len, \
-    int64_t inner, const double *w, int64_t nw
+    int64_t inner, const double *w, int64_t nw, int64_t nthreads
 #define CONVERT_ARGS const double *src, double *dst, int64_t outer, \
     int64_t recv, int64_t recv_out, int64_t len, int64_t inner, \
-    const double *w, int64_t nw
+    const double *w, int64_t nw, int64_t nthreads
+#define THIN_PASS {src, dst, outer, 0, 0, len, inner, w, nw}
+#define CONVERT_PASS {src, dst, outer, recv, recv_out, len, inner, w, nw}
 
-void sg_thin(THIN_ARGS) { thin(src, dst, outer, len, inner, w, nw); }
+static void thin_base(const struct pass *p, int64_t lo, int64_t hi)
+{
+    thin(p, lo, hi);
+}
+
+static void convert_base(const struct pass *p, int64_t lo, int64_t hi)
+{
+    convert(p, lo, hi);
+}
+
+void sg_thin(THIN_ARGS)
+{
+    struct pass p = THIN_PASS;
+    split(thin_base, &p, outer * len, nthreads);
+}
 
 void sg_convert(CONVERT_ARGS)
 {
-    convert(src, dst, outer, recv, recv_out, len, inner, w, nw);
+    struct pass p = CONVERT_PASS;
+    split(convert_base, &p, outer * recv_out, nthreads);
 }
 
 #if defined(__x86_64__)
-__attribute__((target("avx2"))) void sg_thin_avx2(THIN_ARGS)
+__attribute__((target("avx2"))) static void
+thin_avx2(const struct pass *p, int64_t lo, int64_t hi)
 {
-    thin(src, dst, outer, len, inner, w, nw);
+    thin(p, lo, hi);
 }
 
-__attribute__((target("avx2"))) void sg_convert_avx2(CONVERT_ARGS)
+__attribute__((target("avx2"))) static void
+convert_avx2(const struct pass *p, int64_t lo, int64_t hi)
 {
-    convert(src, dst, outer, recv, recv_out, len, inner, w, nw);
+    convert(p, lo, hi);
+}
+
+void sg_thin_avx2(THIN_ARGS)
+{
+    struct pass p = THIN_PASS;
+    split(thin_avx2, &p, outer * len, nthreads);
+}
+
+void sg_convert_avx2(CONVERT_ARGS)
+{
+    struct pass p = CONVERT_PASS;
+    split(convert_avx2, &p, outer * recv_out, nthreads);
 }
 
 int sg_has_avx2(void)

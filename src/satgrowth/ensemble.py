@@ -8,13 +8,12 @@ independent of worker scheduling; records merge in deterministic key order.
 import csv
 import hashlib
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from . import dpll
+from . import dpll, native
 from .cnf import generate_random_instance
 from .dpll import GUC, HEURISTICS
 from .trajectory import GPoint
@@ -33,7 +32,7 @@ class EnsembleConfig:
     trials_per_n: int
     base_seed: int = 0
     heuristic: str = GUC
-    parallelism: Optional[int] = None   # worker processes; None: all cores
+    parallelism: Optional[int] = None   # worker processes; None: usable CPUs
 
     def __post_init__(self):
         self.n_values = tuple(int(n) for n in self.n_values)
@@ -88,9 +87,11 @@ def _run_block(args) -> List[RunRecord]:
 def run_ensemble(config: EnsembleConfig) -> List[RunRecord]:
     """One fresh instance and one solve per (N, trial); deterministic under a
     fixed base seed regardless of the worker count (write_records_csv saves
-    them).  Blocks go to the pool largest N first, so the longest solves do
-    not start last and leave workers idle at the end."""
-    workers = config.parallelism or os.cpu_count() or 1
+    them).  The pool has at most native.usable_cpus() workers, however many
+    `parallelism` asks for.  Blocks go to the pool largest N first, so the
+    longest solves do not start last and leave workers idle at the end."""
+    usable = native.usable_cpus()
+    workers = min(config.parallelism or usable, usable)
     blocks = []
     for n in reversed(config.n_values):
         step = max(1, math.ceil(config.trials_per_n / (4 * workers)))

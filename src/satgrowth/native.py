@@ -12,10 +12,13 @@ half-written library.  A build is never removed: each source version keeps
 its own small library, so checkouts of different sources can share one
 cache, and deleting the cache directory clears it.  load_annealed() binds the
 annealed kernel's AVX2 entry points when the CPU has AVX2, else its
-baseline ones; both give the same bits.  When no compiler is found, the
-compile fails or the cache is not writable, the loader returns None after
-one warning per process and kernel, and the caller runs its Python
-reference code.
+baseline ones, with the usable CPU count as the passes' thread count; all
+give the same bits.  When no compiler is found, the compile fails or the
+cache is not writable, the loader returns None after one warning per process
+and kernel, and the caller runs its Python reference code.
+
+usable_cpus() is the one count of the CPUs this process may run on: it
+sizes the annealed passes' threads and caps run_ensemble's process pool.
 """
 
 import ctypes
@@ -31,12 +34,20 @@ from typing import Callable, NamedTuple
 
 SOURCE = Path(__file__).with_name("dpll_kernel.c")
 ANNEALED_SOURCE = Path(__file__).with_name("annealed_kernel.c")
-CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
 
 HEURISTIC_CODES = {"UC": 0, "GUC": 1, "SC1": 2}
 # sg_solve return codes
 _ERRORS = {-1: (MemoryError, "DPLL kernel out of memory"),
            -2: (AssertionError, "unit clause without a free literal")}
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _compiler():
@@ -109,36 +120,39 @@ def load():
 
 
 class AnnealedPasses(NamedTuple):
-    """The annealed kernel's two entry points, as bound ctypes functions."""
+    """The annealed kernel's two entry points, as bound ctypes functions,
+    and the most threads a pass may split its rows across."""
     thin: Callable
     convert: Callable
     avx2: bool
+    threads: int
 
 
-def _annealed_passes(lib, avx2: bool) -> AnnealedPasses:
-    """The AVX2 or the baseline entry pair of the annealed kernel `lib`."""
+def _annealed_passes(lib, avx2: bool, threads: int) -> AnnealedPasses:
+    """The AVX2 or the baseline entry pair of the annealed kernel `lib`, run
+    on up to `threads` threads."""
     suffix = "_avx2" if avx2 else ""
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     thin = getattr(lib, "sg_thin" + suffix)
-    thin.argtypes = [ptr, ptr, i64, i64, i64, ptr, i64]
+    thin.argtypes = [ptr, ptr, i64, i64, i64, ptr, i64, i64]
     thin.restype = None
     convert = getattr(lib, "sg_convert" + suffix)
-    convert.argtypes = [ptr, ptr, i64, i64, i64, i64, i64, ptr, i64]
+    convert.argtypes = [ptr, ptr, i64, i64, i64, i64, i64, ptr, i64, i64]
     convert.restype = None
-    return AnnealedPasses(thin, convert, avx2)
+    return AnnealedPasses(thin, convert, avx2, threads)
 
 
 @functools.lru_cache(maxsize=None)
 def load_annealed():
     """The annealed-pass kernel's entry points (AnnealedPasses), the AVX2
-    pair when the CPU has AVX2, or None when the kernel cannot be built
-    here."""
+    pair when the CPU has AVX2, on up to usable_cpus() threads, or None when
+    the kernel cannot be built here."""
     lib = _open(ANNEALED_SOURCE, "the numpy annealed passes")
     if lib is None:
         return None
     lib.sg_has_avx2.argtypes = []
     lib.sg_has_avx2.restype = ctypes.c_int
-    return _annealed_passes(lib, bool(lib.sg_has_avx2()))
+    return _annealed_passes(lib, bool(lib.sg_has_avx2()), usable_cpus())
 
 
 def _fallback(code_path: str, reason: str):

@@ -7,6 +7,7 @@ without it; with gcc present, a kernel that fails to build fails them.
 
 import hashlib
 import math
+import os
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from satgrowth import annealed, growth, native
 from satgrowth.annealed import (BranchCountField, annealed_omega_estimate,
                                 guc_transition_row, mass_curve)
 from satgrowth.cnf import ClauseVector
+from satgrowth.ensemble import EnsembleConfig, run_ensemble
 
 
 def _binom(n, k):
@@ -241,9 +243,10 @@ def test_chain_rejects_bad_inputs():
                              (annealed._convert_pass, np.arange(2.0), 0),
                              (annealed._convert_pass, np.arange(5.0), 2)):
         with pytest.raises(ValueError):
-            fn(arr, values, 0.1, 1e-14, axis)
+            fn(arr, annealed._pass_weights(values, 0.1, 1e-14), axis)
     with pytest.raises(ValueError):
-        annealed._thin_pass(np.ones((3, 4)), np.arange(4.0), 0.1, 1e-14, 1)
+        annealed._thin_pass(np.ones((3, 4)),
+                            annealed._pass_weights(np.arange(4.0), 0.1, 1e-14), 1)
 
 
 def test_pruned_mass_accounting():
@@ -289,17 +292,24 @@ _DIFF_CASES = ((4.3, 20, {}), (4.3, 75, dict(t_max=8)), (10.0, 20, {}),
                (10.0, 75, dict(t_max=8)), (20.0, 40, dict(t_max=4)))
 
 
+# thread counts of the compiled passes under test, whatever the host's
+# core count: one, an even and an odd split, and more threads than cores
+_THREADS = (1, 2, 3, 7)
+
+
 @pytest.fixture(scope="module")
 def entry_pairs(kernel):
-    """The kernel's entry pairs this CPU runs: the baseline pair, and the
-    AVX2 pair when the CPU has AVX2 (load_annealed binds the latter)."""
-    if not kernel.avx2:
-        return {"baseline": kernel}
+    """The kernel's entry pairs this CPU runs, on each of _THREADS threads:
+    the baseline pair, and the AVX2 pair when the CPU has AVX2."""
     lib = native._open(native.ANNEALED_SOURCE, "the numpy annealed passes")
-    return {"baseline": native._annealed_passes(lib, False), "avx2": kernel}
+    return {(isa, threads): native._annealed_passes(lib, isa == "avx2", threads)
+            for isa in (("baseline", "avx2") if kernel.avx2 else ("baseline",))
+            for threads in _THREADS}
 
 
 def test_kernel_chains_match_numpy(entry_pairs, monkeypatch):
+    # every pass with at least two destination cells splits
+    monkeypatch.setattr(annealed, "THREAD_CELLS", 1)
     compiled = {}
     for name, passes in entry_pairs.items():
         with monkeypatch.context() as m:
@@ -329,34 +339,90 @@ def _pass_arrays():
             holes, tiny, np.zeros((3, 9, 10)))
 
 
+def _large_pass_cases():
+    """Passes whose windows hold at least max(_THREADS) * THREAD_CELLS
+    destination cells, so that each entry pair runs on all of its threads:
+    (fn, window, axis).  Their destination rows (the thinning pass's (o, r)
+    rows, the conversion pass's (o, y) rows) mostly do not divide evenly
+    among the threads, are fewer than the threads, or sit under a one-row
+    outer axis."""
+    rng = np.random.default_rng(99)
+    cells = max(_THREADS) * annealed.THREAD_CELLS
+    return ((annealed._thin_pass, rng.random((1, 20011, 13)), 2),  # 260143 rows
+            (annealed._thin_pass, rng.random((1, 5, cells // 5 + 9)), 1),  # 5 rows
+            (annealed._thin_pass, rng.random((3, 13, cells // 39 + 5)), 1),  # 39 rows
+            # 4 x (4099 + k) rows, and 2 + k rows under a one-row outer axis
+            (annealed._convert_pass, rng.random((4, cells // 28 + 3, 7)), 2),
+            (annealed._convert_pass, rng.random((2, 11, cells // 22 + 1)), 1))
+
+
 def test_kernel_passes_match_numpy(entry_pairs, monkeypatch):
+    # the small windows at one destination cell per thread, the large ones
+    # at the library's THREAD_CELLS
     cases = []
     for arr in _pass_arrays():
         for lo in (0, 3, 250):
             for p in (-0.2, 0.0, 0.004, 0.05, 0.3, 0.9):
                 for axis in (0, 1, 2):
                     values = np.arange(lo, lo + arr.shape[axis], dtype=float)
-                    cases.append((annealed._thin_pass, arr, values, p, axis))
+                    weights = annealed._pass_weights(values, p, 1e-14)
+                    cases.append((annealed._thin_pass, arr, weights, axis, 1, lo, p))
                     if axis:
-                        cases.append((annealed._convert_pass, arr, values, p, axis))
+                        cases.append((annealed._convert_pass, arr, weights, axis,
+                                      1, lo, p))
+    for fn, arr, axis in _large_pass_cases():
+        for lo in (0, 250):
+            for p in (0.05, 0.3):
+                values = np.arange(lo, lo + arr.shape[axis], dtype=float)
+                weights = annealed._pass_weights(values, p, 1e-14)
+                assert np.prod(arr.shape) >= max(_THREADS) * annealed.THREAD_CELLS
+                cases.append((fn, arr, weights, axis, annealed.THREAD_CELLS, lo, p))
     compiled = {}
     for name, passes in entry_pairs.items():
         with monkeypatch.context() as m:
             m.setattr(native, "load_annealed", lambda: passes)
-            compiled[name] = [fn(arr, values, p, 1e-14, axis)
-                              for fn, arr, values, p, axis in cases]
+            outs = []
+            for fn, arr, weights, axis, thread_cells, _, _ in cases:
+                m.setattr(annealed, "THREAD_CELLS", thread_cells)
+                outs.append(fn(arr, weights, axis))
+            compiled[name] = outs
     _numpy_passes(monkeypatch)
     narrow = subnormal = 0
-    for i, (fn, arr, values, p, axis) in enumerate(cases):
-        want = fn(arr, values, p, 1e-14, axis)
+    for i, (fn, arr, weights, axis, _, lo, p) in enumerate(cases):
+        want = fn(arr, weights, axis)
         for name, outs in compiled.items():
             got = outs[i]
             assert got.shape == want.shape and np.array_equal(got, want), \
-                (name, fn.__name__, arr.shape, values[0], p, axis)
-        if p > 0 and annealed._binom_support(int(values[-1]), p, 1e-14) >= len(values):
+                (name, fn.__name__, arr.shape, lo, p, axis)
+        if len(weights) > arr.shape[axis]:
             narrow += 1
         subnormal += bool(((want > 0) & (want < np.finfo(float).tiny)).any())
     assert narrow > 50 and subnormal > 50, (narrow, subnormal)
+
+
+def test_pass_threads_end_with_the_call(entry_pairs, monkeypatch):
+    # a threaded pass joins its threads before it returns, so the process
+    # has as many threads after it as before, and a process pool forked
+    # after a chain still runs its workers
+    tasks = "/proc/self/task"
+    if not os.path.isdir(tasks):
+        pytest.skip("no /proc/self/task to count this process's threads")
+    fn, arr, axis = _large_pass_cases()[0]
+    weights = annealed._pass_weights(np.arange(arr.shape[axis], dtype=float),
+                                     0.3, 1e-14)
+    monkeypatch.setattr(native, "load_annealed",
+                        lambda: entry_pairs[("baseline", max(_THREADS))])
+    fn(arr, weights, axis)
+    before = len(os.listdir(tasks))
+    for _ in range(3):
+        fn(arr, weights, axis)
+        assert len(os.listdir(tasks)) == before
+    mass_curve(10.0, 20)
+    base = dict(alpha0=5.0, n_values=[10, 12], trials_per_n=4, base_seed=3)
+    pooled = run_ensemble(EnsembleConfig(**base, parallelism=2))
+    serial = run_ensemble(EnsembleConfig(**base, parallelism=1))
+    assert ([(r.n_vars, r.trial, r.q_splits, r.b_leaves) for r in pooled]
+            == [(r.n_vars, r.trial, r.q_splits, r.b_leaves) for r in serial])
 
 
 def _dict_sliver(sliver, c3_lo, T, N, tail):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from satgrowth import ensemble
+from satgrowth import ensemble, native
 from satgrowth.ensemble import (EnsembleConfig, GMeasurement, RunRecord,
                                 derive_seed, extrapolate_omega,
                                 measure_g_point, read_records_csv,
@@ -40,7 +40,8 @@ def test_worker_count_independent():
 
 def test_pool_sized_by_blocks(monkeypatch):
     # the pool forks every worker it is sized for, so it never gets more
-    # workers than blocks; the recorder runs the blocks in this process
+    # workers than blocks or usable CPUs; the recorder runs the blocks in
+    # this process
     sizes = []
 
     class RecordingPool:
@@ -57,10 +58,14 @@ def test_pool_sized_by_blocks(monkeypatch):
             return map(fn, items)
     monkeypatch.setattr(ensemble, "ProcessPoolExecutor", RecordingPool)
     base = dict(alpha0=5.0, n_values=[10], trials_per_n=3, base_seed=2)
-    records = run_ensemble(EnsembleConfig(**base, parallelism=5000))
-    assert sizes == [3]
-    assert _strip_runtime(records) == _strip_runtime(
-        run_ensemble(EnsembleConfig(**base, parallelism=1)))
+    serial = _strip_runtime(run_ensemble(EnsembleConfig(**base, parallelism=1)))
+    # this host's CPUs, and stand-ins for a 2-CPU and a 64-CPU host
+    for cpus in (native.usable_cpus(), 2, 64):
+        monkeypatch.setattr(native, "usable_cpus", lambda: cpus)
+        sizes.clear()
+        records = run_ensemble(EnsembleConfig(**base, parallelism=5000))
+        assert sizes == ([min(3, cpus)] if cpus > 1 else []), cpus
+        assert _strip_runtime(records) == serial, cpus
 
 
 def test_blocks_run_largest_n_first(monkeypatch):
