@@ -1,17 +1,18 @@
 """Build-on-first-use loaders for the compiled kernels.
 
-Two C sources ship with the package: `dpll_kernel.c`, the DPLL search loop
-(`load()`), and `annealed_kernel.c`, the annealed chain's shift-and-add
-passes (`load_annealed()`).  Each is compiled with the system gcc, the first
-time a process asks for it, into a per-user cache directory
-($XDG_CACHE_HOME/satgrowth, else ~/.cache/satgrowth) under a name keyed by a
-hash of the source and the compile command, and loaded with ctypes.  gcc
-writes a temporary file in the cache directory that is then published with
-os.replace, so processes compiling at the same time never load a
-half-written library.  A build is never removed: each source version keeps
-its own small library, so checkouts of different sources can share one
-cache, and deleting the cache directory clears it.  load_annealed() binds the
-annealed kernel's AVX2 entry points when the CPU has AVX2, else its
+Three C sources ship with the package: `dpll_kernel.c`, the DPLL search loop
+(`load()`), `annealed_kernel.c`, the annealed chain's shift-and-add passes
+(`load_annealed()`), and `oracle_kernel.c`, the exact oracle's closure walk
+(`load_oracle()`, read through `closure()`).  Each is compiled with the
+system gcc, the first time a process asks for it, into a per-user cache
+directory ($XDG_CACHE_HOME/satgrowth, else ~/.cache/satgrowth) under a name
+keyed by a hash of the source and the compile command, and loaded with
+ctypes.  gcc writes a temporary file in the cache directory that is then
+published with os.replace, so processes compiling at the same time never
+load a half-written library.  A build is never removed: each source version
+keeps its own small library, so checkouts of different sources can share one
+cache, and deleting the cache directory clears it.  load_annealed() binds
+the annealed kernel's AVX2 entry points when the CPU has AVX2, else its
 baseline ones, with the usable CPU count as the passes' thread count; all
 give the same bits.  When no compiler is found, the compile fails or the
 cache is not writable, the loader returns None after one warning per process
@@ -34,6 +35,7 @@ from typing import Callable, NamedTuple
 
 SOURCE = Path(__file__).with_name("dpll_kernel.c")
 ANNEALED_SOURCE = Path(__file__).with_name("annealed_kernel.c")
+ORACLE_SOURCE = Path(__file__).with_name("oracle_kernel.c")
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
 
 HEURISTIC_CODES = {"UC": 0, "GUC": 1, "SC1": 2}
@@ -155,6 +157,33 @@ def load_annealed():
     return _annealed_passes(lib, bool(lib.sg_has_avx2()), usable_cpus())
 
 
+class _Closure(ctypes.Structure):
+    """sg_closure_t: the walk's flat output arrays, owned by the kernel."""
+    _fields_ = [("n_states", ctypes.c_int64), ("nnz", ctypes.c_int64),
+                ("wbase", ctypes.c_int64),
+                ("state", ctypes.POINTER(ctypes.c_int64)),
+                ("violating", ctypes.c_void_p),
+                ("offset", ctypes.POINTER(ctypes.c_int64)),
+                ("succ", ctypes.POINTER(ctypes.c_int64)),
+                ("weight", ctypes.POINTER(ctypes.c_int64))]
+
+
+@functools.lru_cache(maxsize=None)
+def load_oracle():
+    """The loaded exact-oracle closure kernel, or None when it cannot be
+    built here."""
+    lib = _open(ORACLE_SOURCE, "the Python closure walk")
+    if lib is None:
+        return None
+    lib.sg_closure.argtypes = [ctypes.c_int32, ctypes.c_int32, ctypes.c_void_p,
+                               ctypes.c_void_p, ctypes.c_int32,
+                               ctypes.POINTER(_Closure)]
+    lib.sg_closure.restype = ctypes.c_int
+    lib.sg_closure_free.argtypes = [ctypes.POINTER(_Closure)]
+    lib.sg_closure_free.restype = None
+    return lib
+
+
 def _fallback(code_path: str, reason: str):
     warnings.warn(f"satgrowth: using {code_path}; {reason}",
                   RuntimeWarning, stacklevel=4)
@@ -185,3 +214,24 @@ def solve(lib, n_vars: int, lits, start, heuristic: str, mixed_seed: int,
         triples = [tuple(flat[i:i + 3]) for i in range(0, len(flat), 3)]
     return (bool(sat), q_splits, b_leaves, tuple(g) if g[0] >= 0 else None,
             triples, assignment.raw if sat else None)
+
+
+def closure(lib, n_vars: int, lits, start, heuristic: str):
+    """The forward closure of the all-undetermined state, walked by the
+    oracle kernel.  `lits` and `start` are the instance's array('i')
+    buffers.  Returns (states, violating, offsets, succ, weights, wbase):
+    the columns' packed state indices in walk order, one byte per column
+    (nonzero where the state violates a clause), the n + 1 offsets of the
+    columns' entries, and each entry's successor index and weight
+    numerator * wbase + denominator."""
+    out = _Closure()
+    try:
+        if lib.sg_closure(n_vars, len(start) - 1, lits.buffer_info()[0],
+                          start.buffer_info()[0], HEURISTIC_CODES[heuristic],
+                          ctypes.byref(out)):
+            raise MemoryError("oracle kernel out of memory")
+        n, nnz = out.n_states, out.nnz
+        return (out.state[:n], ctypes.string_at(out.violating, n),
+                out.offset[:n + 1], out.succ[:nnz], out.weight[:nnz], out.wbase)
+    finally:
+        lib.sg_closure_free(ctypes.byref(out))

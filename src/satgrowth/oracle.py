@@ -11,12 +11,20 @@ States are packed base-3: digit i of an index is the mark of variable i
 (0 = u, 1 = t, 2 = f), so the child that sets variable v to mark m of state
 idx is idx + m * 3**v.
 
-The build classifies each state once, from its parent.  A state carries its
+The build walks the closure depth first from U, with a stack, and lists the
+columns in the order it pops their states.  The walk runs compiled, in
+oracle_kernel.c (native.load_oracle), which classifies each popped state from
+scratch over the instance's clause buffers as cnf.classify does and returns
+flat arrays; the build turns them into the columns, one Fraction per
+distinct weight.  Where the kernel cannot be built the same walk runs in
+Python, which is also the reference the kernel is tested against: it
+classifies each state once, from its parent.  A state carries its
 undetermined clauses as clause id -> free literal slots, in clause order and
 slot order, as cnf.classify would list them.  A child that sets v revisits
 only the parent's undetermined clauses that contain v: a true literal of v
 satisfies the clause, which is dropped; otherwise the slots of v go, and a
-clause left with no slot makes the child violating.
+clause left with no slot makes the child violating.  Both walks give equal
+columns in equal order.
 
 Every non-absorbing transition assigns one variable, so the closure is a DAG
 layered by depth, and B(T) is summed in one pass over the layers: the mass of
@@ -33,10 +41,11 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import compress
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
-from . import dpll
+from . import dpll, native
 from .cnf import F, T, U, Instance, brute_force_satisfiable, classify
 
 DEFAULT_VAR_CAP = 12
@@ -126,15 +135,6 @@ class EvolutionOperator:
     def nnz(self) -> int:
         return sum(len(col) for col in self.columns.values())
 
-    def entry(self, s_prime: int, s: int) -> Fraction:
-        for idx, w in self.columns.get(s, ()):
-            if idx == s_prime:
-                return w
-        return Fraction(0)
-
-    def column_sum(self, s: int) -> Fraction:
-        return sum((w for _, w in self.columns.get(s, ())), Fraction(0))
-
     def dump(self, fh) -> None:
         """Text dump: one 'row col numerator denominator' line per entry."""
         for s in sorted(self.columns):
@@ -144,11 +144,28 @@ class EvolutionOperator:
 
 def build_evolution_operator(instance: Instance, heuristic: str,
                              var_cap: int = DEFAULT_VAR_CAP) -> EvolutionOperator:
-    """Operator entries per the evolution rules, over states reachable from U."""
+    """Operator entries per the evolution rules, over states reachable from
+    U: walked by the compiled kernel, else by the Python reference walk."""
     _check_heuristic(heuristic)
     n = instance.n_vars
     if n > var_cap:
         raise ValueError(f"n_vars={n} exceeds the operator cap ({var_cap})")
+    kernel = native.load_oracle()
+    if kernel is None:
+        return _python_closure(instance, heuristic)
+    states, violating, offsets, succ, keys, wbase = native.closure(
+        kernel, n, instance.lits, instance.starts, heuristic)
+    weights = {key: Fraction(*divmod(key, wbase)) for key in set(keys)}
+    entries = list(zip(succ, map(weights.__getitem__, keys)))
+    columns = dict(zip(states, map(entries.__getitem__,
+                                   map(slice, offsets, offsets[1:]))))
+    return EvolutionOperator(n, columns, set(compress(states, violating)))
+
+
+def _python_closure(instance: Instance, heuristic: str) -> EvolutionOperator:
+    """The closure walk in Python, each state classified from its parent
+    (see the module docstring)."""
+    n = instance.n_vars
     clauses = instance.clauses()
     occurs: List[set] = [set() for _ in range(n)]
     for cid, lits in enumerate(clauses):

@@ -1,4 +1,5 @@
-"""Shared test fixtures: the three toy instances and a small unsat corpus."""
+"""Shared test fixtures: the three toy instances, two instances with
+repeated variables and a small unsat corpus."""
 
 from satgrowth.cnf import (Instance, brute_force_satisfiable, clause,
                            generate_random_instance)
@@ -12,6 +13,17 @@ I2 = Instance(2, [clause(1, 2), clause(-1, 2), clause(1, -2), clause(-1, -2)])
 # I2 plus a tautological 2-clause on a third variable: two tree shapes
 I3 = Instance(3, [clause(1, 2), clause(-1, 2), clause(1, -2), clause(-1, -2),
                   clause(3, -3)])
+
+# hand-written clauses with a repeated variable: duplicated literals, a
+# tautological pair and a clause that is unit in one variable
+REPEATED = (
+    Instance(3, [clause(1, 1, 2), clause(-1, -1), clause(2, -2, 3),
+                 clause(-2, -3), clause(1, -3, -3), clause(-1, 3),
+                 clause(3, 3), clause(-2, 2)]),
+    Instance(4, [clause(1, -1, 2), clause(-2, -2, 3), clause(-3, 4, 4),
+                 clause(-4, 1), clause(-1, -1, -4), clause(2, 3, -1),
+                 clause(4, -3, 4), clause(1, 2, 2), clause(-2, -1)]),
+)
 
 
 def unsat_corpus(count, n_vars=8, alphas=(4.0, 5.5, 7.0, 8.5, 10.0),

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from satgrowth import dpll, oracle
-from satgrowth.cnf import (Instance, brute_force_satisfiable, classify, clause,
+from common import REPEATED
+from satgrowth import dpll, native, oracle
+from satgrowth.cnf import (brute_force_satisfiable, classify,
                            generate_random_instance)
 
 GOLDEN_PATH = Path(__file__).with_name("oracle_golden.json")
@@ -27,17 +28,6 @@ GOLDEN_PATH = Path(__file__).with_name("oracle_golden.json")
 MIXES = ((0.0, 2.0), (0.0, 4.5), (0.0, 7.0), (0.0, 10.0),
          (0.6, 1.5), (1.0, 3.0), (1.5, 4.0), (2.0, 0.0))
 N_RANGE = range(3, 11)
-
-# hand-written clauses with a repeated variable: duplicated literals, a
-# tautological pair and a clause that is unit in one variable
-REPEATED = (
-    Instance(3, [clause(1, 1, 2), clause(-1, -1), clause(2, -2, 3),
-                 clause(-2, -3), clause(1, -3, -3), clause(-1, 3),
-                 clause(3, 3), clause(-2, 2)]),
-    Instance(4, [clause(1, -1, 2), clause(-2, -2, 3), clause(-3, 4, 4),
-                 clause(-4, 1), clause(-1, -1, -4), clause(2, 3, -1),
-                 clause(4, -3, 4), clause(1, 2, 2), clause(-2, -1)]),
-)
 
 
 def corpus():
@@ -117,14 +107,11 @@ def _naive_sequence(op, n_vars, t_max):
     return seq
 
 
-@pytest.mark.parametrize("key,inst,heuristic", CORPUS,
-                         ids=[key for key, _, _ in CORPUS])
-def test_operator_matches_one_state_reference(key, inst, heuristic):
+def _assert_one_state_reference(op, inst, heuristic):
     """Every column equals transition_probs on its state, violating states
     agree with classify, and B(T) equals the naive sweep loop."""
     n = inst.n_vars
     clauses = inst.clauses()
-    op = oracle.build_evolution_operator(inst, heuristic)
     for s, col in op.columns.items():
         marks = oracle.unpack_state(s, n)
         violated, _ = classify(clauses, marks)
@@ -135,6 +122,31 @@ def test_operator_matches_one_state_reference(key, inst, heuristic):
             assert col == oracle.transition_probs(inst, heuristic, marks)
     assert (oracle.branch_function_sequence(inst, heuristic, n + 3, op)
             == _naive_sequence(op, n, n + 3))
+
+
+@pytest.mark.parametrize("key,inst,heuristic", CORPUS,
+                         ids=[key for key, _, _ in CORPUS])
+def test_operator_matches_one_state_reference(key, inst, heuristic):
+    _assert_one_state_reference(
+        oracle.build_evolution_operator(inst, heuristic), inst, heuristic)
+
+
+@pytest.mark.parametrize("key,inst,heuristic", CORPUS,
+                         ids=[key for key, _, _ in CORPUS])
+def test_fallback_path_matches_golden_and_compiled(key, inst, heuristic,
+                                                   monkeypatch):
+    """The Python closure walk, run as the fallback, passes the golden and
+    one-state reference checks and builds the operator of the default path
+    (the compiled walk where gcc is present): equal columns in equal key
+    order and equal violating sets."""
+    compiled = oracle.build_evolution_operator(inst, heuristic)
+    monkeypatch.setattr(native, "load_oracle", lambda: None)
+    assert golden_record(inst, heuristic) == _golden()[key]
+    op = oracle.build_evolution_operator(inst, heuristic)
+    _assert_one_state_reference(op, inst, heuristic)
+    assert op.columns == compiled.columns
+    assert list(op.columns) == list(compiled.columns)
+    assert op.violating == compiled.violating
 
 
 if __name__ == "__main__":
