@@ -142,11 +142,6 @@ def clause_vector(instance: Instance, marks: Sequence[int]) -> ClauseVector:
     return ClauseVector(counts[1], counts[2], counts[3])
 
 
-def satisfies(instance: Instance, marks: Sequence[int]) -> bool:
-    violated, undet = classify(instance.clauses(), marks)
-    return not violated and not undet
-
-
 def generate_random_instance(n_vars: int, n_2clauses: int, n_3clauses: int,
                              seed: int) -> Instance:
     """Random 2+p-SAT instance: each k-clause picks k distinct variables

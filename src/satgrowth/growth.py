@@ -50,19 +50,15 @@ class ShootingError(RuntimeError):
 
 
 def _y1_terms(y2: float) -> Tuple[float, float, float, float]:
-    """(Y1, e^{-Y1}, dY1/dy2, e^{y2}) at y2, where
-    Y1 = y2 - ln((1 + sqrt(1 + 4 e^{y2}))/2) is evaluated through log1p and
+    """(Y1, e^{-Y1}, dY1/dy2, e^{y2}) at y2, where Y1, the root of the kernel
+    K(y1, y2) = e^{-y2}(e^{2 y1} + e^{y1}) - 1, is
+    Y1 = y2 - ln((1 + sqrt(1 + 4 e^{y2}))/2), evaluated through log1p and
     the conjugate form so the y2 -> -inf tail stays accurate.
     """
     ey2 = math.exp(y2)
     r = math.sqrt(1.0 + 4.0 * ey2)
     return (y2 - math.log1p(2.0 * ey2 / (1.0 + r)), (1.0 + r) / (2.0 * ey2),
             (r + 1.0) / (2.0 * r), ey2)
-
-
-def kernel_y1(y2: float) -> float:
-    """Root Y1(y2) of the kernel K(y1, y2) = e^{-y2}(e^{2 y1} + e^{y1}) - 1."""
-    return _y1_terms(y2)[0]
 
 
 def hamiltonian(heuristic: str, c2: float, c3: float, y2: float, y3: float,

@@ -11,20 +11,16 @@ States are packed base-3: digit i of an index is the mark of variable i
 (0 = u, 1 = t, 2 = f), so the child that sets variable v to mark m of state
 idx is idx + m * 3**v.
 
-The build walks the closure depth first from U, with a stack, and lists the
-columns in the order it pops their states.  The walk runs compiled, in
-oracle_kernel.c (native.load_oracle), which classifies each popped state from
-scratch over the instance's clause buffers as cnf.classify does and returns
-flat arrays; the build turns them into the columns, one Fraction per
-distinct weight.  Where the kernel cannot be built the same walk runs in
-Python, which is also the reference the kernel is tested against: it
-classifies each state once, from its parent.  A state carries its
-undetermined clauses as clause id -> free literal slots, in clause order and
-slot order, as cnf.classify would list them.  A child that sets v revisits
-only the parent's undetermined clauses that contain v: a true literal of v
-satisfies the clause, which is dropped; otherwise the slots of v go, and a
-clause left with no slot makes the child violating.  Both walks give equal
-columns in equal order.
+The build walks the closure depth first from U, with a stack and a set of
+the states seen, and lists the columns in the order it pops their states.
+Each popped state is classified from scratch with cnf.classify; a violating
+state gets the absorbing self-loop, any other the successors that
+_transitions gives under the heuristic.  The walk runs compiled, in
+oracle_kernel.c (native.load_oracle), which classifies over the instance's
+clause buffers as cnf.classify does and returns flat arrays; the build turns
+them into the columns, one Fraction per distinct weight.  Where the kernel
+cannot be built the same walk runs in Python, which is also the reference
+the kernel is tested against.  Both walks give equal columns in equal order.
 
 Every non-absorbing transition assigns one variable, so the closure is a DAG
 layered by depth, and B(T) is summed in one pass over the layers: the mass of
@@ -33,10 +29,10 @@ enters a violating state joins one absorbed total, and an all-satisfied state
 (empty column) keeps its mass only for the layer that reaches it.  Then
 B(T) = absorbed + the live mass at depth T; the masses are kept as integer
 numerators over a common denominator per layer, so B(T) is exact.
-cnf.classify on a single state, through transition_probs, is the reference
-for the derived classification.
 """
 
+import functools
+import gc
 import math
 import random
 from collections import Counter
@@ -77,29 +73,33 @@ def _check_heuristic(heuristic: str) -> None:
         raise ValueError(f"unknown heuristic {heuristic!r}")
 
 
-def _transitions(undet: Iterable[Sequence[int]], idx: int,
-                 free_vars: Sequence[int], heuristic: str,
+def _transitions(clauses: Sequence[Sequence[int]], marks: Sequence[int],
+                 idx: int, heuristic: str,
                  weight: Callable[[int, int], Fraction]
-                 ) -> List[Tuple[int, Fraction]]:
-    """Successor (state index, weight) pairs of the non-violating state idx,
-    per the heuristic-induced rules.  `undet` holds the free literal slots of
-    its undetermined clauses, `free_vars` its undetermined variables in
-    increasing order, and weight(num, den) makes the Fraction num/den.
+                 ) -> Tuple[bool, List[Tuple[int, Fraction]]]:
+    """(violated, column) of the state idx with the given marks: classified
+    from scratch with cnf.classify, then given its successor (state index,
+    weight) pairs per the heuristic-induced rules; weight(num, den) makes the
+    Fraction num/den.
 
-    Unit clauses present: weight h(j|S) g(x|S,j) on the single forced child
-    per (variable, value); weights sum to 1.  No unit clause: each candidate
-    variable j contributes BOTH children with weight h(j|S), so the total
-    outgoing weight is 2.  No undetermined clause (all satisfied): no
-    successor, whatever the heuristic.
+    Violating: the absorbing self-loop, weight 1.  Unit clauses present:
+    weight h(j|S) g(x|S,j) on the single forced child per (variable, value);
+    weights sum to 1.  No unit clause: each candidate variable j contributes
+    BOTH children with weight h(j|S), so the total outgoing weight is 2.  No
+    undetermined clause (all satisfied): no successor, whatever the
+    heuristic.
     """
+    violated, undet = classify(clauses, marks)
+    if violated:
+        return True, [(idx, weight(1, 1))]
     if not undet:
-        return []
+        return False, []
     units = [slots[0] for slots in undet if len(slots) == 1]
     if units:
         c1 = len(units)
-        return [(idx + (T if lit & 1 == 0 else F) * 3 ** (lit >> 1),
-                 weight(cnt, c1))
-                for lit, cnt in sorted(Counter(units).items())]
+        return False, [(idx + (T if lit & 1 == 0 else F) * 3 ** (lit >> 1),
+                        weight(cnt, c1))
+                       for lit, cnt in sorted(Counter(units).items())]
     if heuristic == dpll.GUC:
         kmin = min(map(len, undet))
         shortest = [slots for slots in undet if len(slots) == kmin]
@@ -107,6 +107,7 @@ def _transitions(undet: Iterable[Sequence[int]], idx: int,
         counts = Counter(lit >> 1 for slots in shortest for lit in slots)
         h = [(v, weight(cnt, den)) for v, cnt in sorted(counts.items())]
     else:  # UC and SC1: uniform over undetermined variables
+        free_vars = [v for v, m in enumerate(marks) if m == U]
         w = weight(1, len(free_vars))
         h = [(v, w) for v in free_vars]
     out: List[Tuple[int, Fraction]] = []
@@ -114,7 +115,7 @@ def _transitions(undet: Iterable[Sequence[int]], idx: int,
         step = 3 ** v
         out.append((idx + T * step, w))
         out.append((idx + F * step, w))
-    return out
+    return False, out
 
 
 class EvolutionOperator:
@@ -150,71 +151,46 @@ def build_evolution_operator(instance: Instance, heuristic: str,
     n = instance.n_vars
     if n > var_cap:
         raise ValueError(f"n_vars={n} exceeds the operator cap ({var_cap})")
-    kernel = native.load_oracle()
-    if kernel is None:
-        return _python_closure(instance, heuristic)
-    states, violating, offsets, succ, keys, wbase = native.closure(
-        kernel, n, instance.lits, instance.starts, heuristic)
-    weights = {key: Fraction(*divmod(key, wbase)) for key in set(keys)}
-    entries = list(zip(succ, map(weights.__getitem__, keys)))
-    columns = dict(zip(states, map(entries.__getitem__,
-                                   map(slice, offsets, offsets[1:]))))
-    return EvolutionOperator(n, columns, set(compress(states, violating)))
+    # the columns and their entries cannot form cycles, so the cyclic
+    # collector, which would rescan them as they grow, is paused
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        kernel = native.load_oracle()
+        if kernel is None:
+            return _python_closure(instance, heuristic)
+        states, violating, offsets, succ, keys, wbase = native.closure(
+            kernel, n, instance.lits, instance.starts, heuristic)
+        weights = {key: Fraction(*divmod(key, wbase)) for key in set(keys)}
+        entries = list(zip(succ, map(weights.__getitem__, keys)))
+        columns = dict(zip(states, map(entries.__getitem__,
+                                       map(slice, offsets, offsets[1:]))))
+        return EvolutionOperator(n, columns, set(compress(states, violating)))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _python_closure(instance: Instance, heuristic: str) -> EvolutionOperator:
-    """The closure walk in Python, each state classified from its parent
-    (see the module docstring)."""
+    """The closure walk in Python, the kernel's algorithm (see the module
+    docstring)."""
     n = instance.n_vars
     clauses = instance.clauses()
-    occurs: List[set] = [set() for _ in range(n)]
-    for cid, lits in enumerate(clauses):
-        for lit in lits:
-            occurs[lit >> 1].add(cid)
-    # index offset of a child -> (variable, its true literal under the mark)
-    steps = {m * 3 ** v: (v, 2 * v + (m == F)) for v in range(n) for m in (T, F)}
-    fractions: Dict[Tuple[int, int], Fraction] = {}
-
-    def weight(num: int, den: int) -> Fraction:
-        w = fractions.get((num, den))
-        if w is None:
-            w = fractions[num, den] = Fraction(num, den)
-        return w
-
-    one = Fraction(1)
+    weight = functools.cache(Fraction)  # one Fraction per distinct weight
     columns: Dict[int, List[Tuple[int, Fraction]]] = {}
     violating = set()
-    # (index, undetermined variables, clause id -> free slots or None if the
-    # state violates a clause), from the all-undetermined state at index 0
-    stack = [(0, tuple(range(n)), dict(enumerate(clauses)))]
+    stack = [0]  # the all-undetermined state
     seen = {0}
     while stack:
-        idx, free_vars, undet = stack.pop()
-        if undet is None:
+        idx = stack.pop()
+        violated, columns[idx] = _transitions(
+            clauses, unpack_state(idx, n), idx, heuristic, weight)
+        if violated:
             violating.add(idx)
-            columns[idx] = [(idx, one)]
-            continue
-        succ = _transitions(undet.values(), idx, free_vars, heuristic, weight)
-        columns[idx] = succ
-        for s2, _ in succ:
-            if s2 in seen:
-                continue
-            seen.add(s2)
-            v, true_lit = steps[s2 - idx]
-            child = dict(undet)
-            not_false = (true_lit ^ 1).__ne__  # keeps all but v's false slots
-            for cid in undet.keys() & occurs[v]:
-                slots = undet[cid]
-                if true_lit in slots:
-                    del child[cid]
-                    continue
-                rest = tuple(filter(not_false, slots))
-                if not rest:
-                    child = None
-                    break
-                child[cid] = rest
-            at = free_vars.index(v)
-            stack.append((s2, free_vars[:at] + free_vars[at + 1:], child))
+        for s2, _ in columns[idx]:
+            if s2 not in seen:
+                seen.add(s2)
+                stack.append(s2)
     return EvolutionOperator(n, columns, violating)
 
 
@@ -223,18 +199,24 @@ def transition_probs(instance: Instance, heuristic: str,
     """Successors of one partial state (a sequence of cnf marks) as (packed
     index, exact weight) pairs, classified from scratch with cnf.classify."""
     _check_heuristic(heuristic)
-    violated, undet = classify(instance.clauses(), marks)
+    violated, column = _transitions(instance.clauses(), marks, pack_state(marks),
+                                    heuristic, Fraction)
     if violated:
         raise ValueError("transition probabilities are undefined on a violating state")
-    free_vars = [v for v in range(instance.n_vars) if marks[v] == U]
-    return _transitions(undet, pack_state(marks), free_vars, heuristic, Fraction)
+    return column
 
 
 def branch_function_sequence(instance: Instance, heuristic: str, t_max: int,
                              operator: Optional[EvolutionOperator] = None
                              ) -> List[Fraction]:
-    """B(0), B(1), ..., B(t_max) in one pass over the depth layers of the
-    closure of U (see the module docstring)."""
+    """B(0), B(1), ..., B(t_max), exact, with B(T) = <Sigma| H^T |U>, in one
+    pass over the depth layers of the closure of U (see the module
+    docstring).
+
+    For a satisfiable instance B(T) counts contradiction leaves only and the
+    stationarity guarantee does not apply (use stationary_tree_size for the
+    guarded version).
+    """
     if t_max < 0:
         raise ValueError("T must be >= 0")
     op = operator or build_evolution_operator(instance, heuristic)
@@ -266,16 +248,6 @@ def branch_function_sequence(instance: Instance, heuristic: str, t_max: int,
         seq.append(Fraction(absorbed + sum(live.values()), den))
     seq.extend([seq[-1]] * (t_max + 1 - len(seq)))
     return seq
-
-
-def branch_function(instance: Instance, heuristic: str, t: int) -> Fraction:
-    """B(T) = <Sigma| H^T |U>, exact.
-
-    For a satisfiable instance this counts contradiction leaves only and the
-    stationarity guarantee does not apply (use stationary_tree_size for the
-    guarded version).
-    """
-    return branch_function_sequence(instance, heuristic, t)[-1]
 
 
 def stationary_tree_size(instance: Instance, heuristic: str,

@@ -167,7 +167,7 @@ def test_sat_assignment_verified():
     s = dpll.solve(inst, "GUC", 9)
     assert s.result == "sat"
     marks = [cnf.T if v else cnf.F for v in s.assignment]
-    assert cnf.satisfies(inst, marks)
+    assert cnf.classify(inst.clauses(), marks) == (False, [])
 
 
 def test_lower_sat_linear_scaling():

@@ -8,7 +8,7 @@ import pytest
 from satgrowth import growth
 from satgrowth.growth import (ASYMPTOTIC_CONSTANT, HALT_CONSTANT, Controls,
                               UnsupportedHeuristicError, asymptotic_omega,
-                              halt_line_alpha, hamiltonian, kernel_y1,
+                              halt_line_alpha, hamiltonian,
                               legendre_surface, omega_theory, omega_upper_sat,
                               omega_upper_sat_from_g, solve_characteristics)
 from satgrowth.trajectory import CriticalLine, GPoint
@@ -19,6 +19,9 @@ GOLDEN_LOG = math.log((1 + math.sqrt(5)) / 2)
 def test_kernel_y1_values():
     def kernel(y1, y2):
         return math.exp(-y2) * (math.exp(2.0 * y1) + math.exp(y1)) - 1.0
+
+    def kernel_y1(y2):
+        return growth._y1_terms(y2)[0]
 
     assert abs(kernel_y1(0.0) + GOLDEN_LOG) < 1e-14
     # for very negative y2 the log term vanishes: Y1 -> y2

@@ -7,6 +7,7 @@ module skips; with one, a kernel that fails to build fails the tests.  The
 golden corpus is compared in test_oracle_golden.py.
 """
 
+import gc
 import warnings
 from array import array
 
@@ -116,6 +117,23 @@ def test_kernel_memory_error(kernel):
     big = Instance(40, [clause(1, 2, 3)])
     with pytest.raises(MemoryError, match="oracle kernel out of memory"):
         oracle.build_evolution_operator(big, "GUC", var_cap=40)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_build_restores_collector_state(kernel, collecting):
+    # the build pauses the cyclic collector and leaves it as it found it,
+    # also when the kernel raises
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        oracle.build_evolution_operator(I3, "GUC")
+        assert gc.isenabled() == collecting
+        with pytest.raises(MemoryError):
+            oracle.build_evolution_operator(Instance(40, [clause(1, 2, 3)]),
+                                            "GUC", var_cap=40)
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_closure_frees_on_error():

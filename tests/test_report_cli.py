@@ -5,8 +5,8 @@ import os
 
 import pytest
 
-from satgrowth import (annealed, cli, cnf, ensemble, growth, oracle, report,
-                       trajectory)
+from satgrowth import (annealed, cli, cnf, ensemble, growth, native, oracle,
+                       report, trajectory)
 from satgrowth.ensemble import EnsembleConfig, extrapolate_omega, run_ensemble
 
 
@@ -106,6 +106,16 @@ def test_cli_error_exit(tmp_path, capsys):
         assert "error:" in captured.err and captured.out == "", argv
     assert cli.main(["annealed", "--alpha0", "0", "--n-vars", "30"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_oracle_out_of_memory(tmp_path, capsys):
+    # 3^40 states: the oracle kernel refuses the walk as out of memory
+    if native._compiler() is None:
+        pytest.skip("no C compiler (gcc): the Python walk builds this closure")
+    path = tmp_path / "wide.cnf"
+    path.write_text("p cnf 40 1\n1 2 3 0\n")
+    assert cli.main(["oracle", str(path), "--cap", "40"]) == 1
+    assert "error: oracle kernel out of memory" in capsys.readouterr().err
 
 
 def test_cli_ode_pde_annealed(capsys):
