@@ -295,7 +295,7 @@ class AnnealedStep:
     total_mass: float
     mean_c2: float
     mean_c3: float
-    pruned_mass: float = 0.0
+    pruned_mass: float
 
 
 def _sliver_rows(sliver: np.ndarray, c3_lo: int, n: int,

@@ -7,6 +7,7 @@ nonzero with a diagnostic on error.
 
 import argparse
 import json
+import math
 import sys
 
 from . import annealed, cnf, dpll, growth, oracle, report, trajectory
@@ -41,7 +42,11 @@ def _add_heuristic(p):
 
 
 def _parse_g(text: str) -> GPoint:
+    """G from 'p,alpha,t', with p in [0, 1], 0 < alpha < inf and t in [0, 1)."""
     p, alpha, t = (float(x) for x in text.split(","))
+    if not (0.0 <= p <= 1.0 and 0.0 < alpha < math.inf and 0.0 <= t < 1.0):
+        raise ValueError(f"G needs p in [0, 1], alpha > 0 and t in [0, 1), "
+                         f"got {text!r}")
     return GPoint(t, p, alpha)
 
 
@@ -76,7 +81,6 @@ def cmd_solve(args) -> int:
     rec = stats.to_record(alpha0)
     if args.json:
         report.write_run_record_json(args.json, stats, alpha0)
-        rec = dict(rec, cloud=f"written to {args.json}")
     rec.pop("cloud", None)
     print(json.dumps(rec, sort_keys=True))
     if stats.result == "sat" and args.model:
@@ -92,11 +96,10 @@ def cmd_oracle(args) -> int:
                                           inst.n_vars + 1, op)
     print(f"operator: {len(op.columns)} reachable states, {op.nnz()} nonzeros")
     print("B(T):", " ".join(str(b) for b in seq))
-    try:
-        t_star, b_star = oracle.stationary_tree_size(inst, args.heuristic, op)
-    except oracle.SatisfiableInstanceError:
+    if oracle.brute_force_satisfiable(inst):
         print("instance is satisfiable; stationarity not asserted")
     else:
+        t_star, b_star = oracle.stationary_point(seq)
         print(f"T* = {t_star}, B* = {b_star}")
     if args.dump:
         with open(args.dump, "w") as fh:
@@ -186,6 +189,8 @@ def cmd_pde(args) -> int:
         print(f"omega_upper = {res.omega_bits:.5f} bits "
               f"(omega_G = {res.omega_g_bits:.5f}, halted = {res.halted})")
         return 0
+    if args.alpha0 is None or not 0.0 < args.alpha0 < math.inf:
+        raise ValueError("--alpha0 > 0 required unless --g")
     if args.upper_sat:
         res = growth.omega_upper_sat(args.alpha0, args.heuristic,
                                      _critical_line(args))

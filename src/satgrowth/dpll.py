@@ -17,8 +17,8 @@ node reached back by backtracking).
 (`dpll_kernel.c`, built on first use by `native`) that reproduces this
 module's bookkeeping and random draws bit for bit; it reads the instance's
 packed-literal buffers as they are.  The Python loop below is the reference:
-it runs when the kernel cannot be built here and whenever `check_invariants`
-is set, and builds its clause and occurrence lists on first use.
+it runs when the kernel cannot be built here, and builds its clause and
+occurrence lists on first use.
 """
 
 import hashlib
@@ -46,6 +46,12 @@ QUIESCENT = "quiescent"
 CONTRADICTION = "contradiction"
 
 
+def check_heuristic(heuristic: str) -> None:
+    """Raise ValueError unless `heuristic` is one of HEURISTICS."""
+    if heuristic not in HEURISTICS:
+        raise ValueError(f"unknown heuristic {heuristic!r}")
+
+
 class PhasePoint(NamedTuple):
     p: float      # fraction of 3-clauses among undetermined clauses
     alpha: float  # undetermined clauses per undetermined variable
@@ -70,7 +76,7 @@ class SolveStats:
     seed: int
     heuristic: str
     n_vars: int
-    assignment: Optional[List[bool]] = None
+    assignment: Optional[List[bool]]
 
     def to_record(self, alpha0=None) -> dict:
         """Structured per-run record for JSON export."""
@@ -94,8 +100,7 @@ class DpllSolver:
     """
 
     def __init__(self, instance: Instance, heuristic: str = GUC):
-        if heuristic not in HEURISTICS:
-            raise ValueError(f"unknown heuristic {heuristic!r}")
+        check_heuristic(heuristic)
         self.instance = instance
         self.heuristic = heuristic
         self.n = instance.n_vars
@@ -314,16 +319,14 @@ class DpllSolver:
 
     # -------------------------------------------------------------- solve
 
-    def solve(self, seed: int, record_cloud: bool = True,
-              check_invariants: bool = False) -> SolveStats:
+    def solve(self, seed: int, record_cloud: bool = True) -> SolveStats:
         """Complete depth-first search; returns instrumented statistics.
 
-        The compiled kernel runs the search unless `check_invariants` asks
-        for the reference loop's per-node check of the live clause vector
-        against cnf.clause_vector, or the kernel cannot be built here.  The
-        kernel leaves this solver's Python-side state untouched.
+        The compiled kernel runs the search, and leaves this solver's
+        Python-side state untouched; the reference loop runs when the kernel
+        cannot be built here.
         """
-        lib = None if check_invariants else native.load()
+        lib = native.load()
         if lib is not None:
             return self._solve_compiled(lib, seed, record_cloud)
         self.reset(seed)
@@ -362,11 +365,6 @@ class DpllSolver:
                 b_leaves += 1
                 assignment = self._verified([v == 1 for v in self.val])
                 break
-            if check_invariants:
-                ref = cnf.clause_vector(self.instance, self.partial_state())
-                if ref != self.clause_vector():
-                    raise AssertionError(
-                        f"live clause vector {self.clause_vector()} != reference {ref}")
             point = self.phase_point()
             if record_cloud:
                 cloud.append(point)
@@ -401,7 +399,6 @@ class DpllSolver:
 
 
 def solve(instance: Instance, heuristic: str, seed: int,
-          record_cloud: bool = True, check_invariants: bool = False) -> SolveStats:
+          record_cloud: bool = True) -> SolveStats:
     """One-shot solve of an instance with a fresh solver."""
-    return DpllSolver(instance, heuristic).solve(
-        seed, record_cloud=record_cloud, check_invariants=check_invariants)
+    return DpllSolver(instance, heuristic).solve(seed, record_cloud=record_cloud)

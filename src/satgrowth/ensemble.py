@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import dpll, native
 from .cnf import generate_random_instance
-from .dpll import GUC, HEURISTICS
+from .dpll import GUC, check_heuristic
 from .trajectory import GPoint
 
 
@@ -40,8 +40,7 @@ class EnsembleConfig:
             raise ValueError("n_values must be strictly increasing")
         if self.trials_per_n < 1:
             raise ValueError("trials_per_n must be >= 1")
-        if self.heuristic not in HEURISTICS:
-            raise ValueError(f"unknown heuristic {self.heuristic!r}")
+        check_heuristic(self.heuristic)
         if self.parallelism is not None and self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
 

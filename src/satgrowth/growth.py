@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
-from .dpll import GUC, UC, PhasePoint
+from .dpll import GUC, UC
 from .numerics import IntegrationError, integrate_ode
 from .trajectory import (CriticalLine, DensityState, GPoint, find_g,
                          to_phase_coords)
@@ -127,9 +127,6 @@ class GrowthSample(NamedTuple):
     @property
     def omega_bits(self) -> float:
         return self.omega_nats / LN2
-
-    def phase_point(self) -> PhasePoint:
-        return PhasePoint(self.p_star, self.alpha_star, self.t)
 
 
 NEWTON_MAX_ITER = 60

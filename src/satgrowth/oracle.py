@@ -68,11 +68,6 @@ def unpack_state(index: int, n_vars: int) -> Tuple[int, ...]:
     return tuple(marks)
 
 
-def _check_heuristic(heuristic: str) -> None:
-    if heuristic not in dpll.HEURISTICS:
-        raise ValueError(f"unknown heuristic {heuristic!r}")
-
-
 def _transitions(clauses: Sequence[Sequence[int]], marks: Sequence[int],
                  idx: int, heuristic: str,
                  weight: Callable[[int, int], Fraction]
@@ -147,7 +142,7 @@ def build_evolution_operator(instance: Instance, heuristic: str,
                              var_cap: int = DEFAULT_VAR_CAP) -> EvolutionOperator:
     """Operator entries per the evolution rules, over states reachable from
     U: walked by the compiled kernel, else by the Python reference walk."""
-    _check_heuristic(heuristic)
+    dpll.check_heuristic(heuristic)
     n = instance.n_vars
     if n > var_cap:
         raise ValueError(f"n_vars={n} exceeds the operator cap ({var_cap})")
@@ -198,7 +193,7 @@ def transition_probs(instance: Instance, heuristic: str,
                      marks: Sequence[int]) -> List[Tuple[int, Fraction]]:
     """Successors of one partial state (a sequence of cnf marks) as (packed
     index, exact weight) pairs, classified from scratch with cnf.classify."""
-    _check_heuristic(heuristic)
+    dpll.check_heuristic(heuristic)
     violated, column = _transitions(instance.clauses(), marks, pack_state(marks),
                                     heuristic, Fraction)
     if violated:
@@ -259,8 +254,14 @@ def stationary_tree_size(instance: Instance, heuristic: str,
     if brute_force_satisfiable(instance):
         raise SatisfiableInstanceError(
             "stationary tree size requires an unsatisfiable instance")
-    n = instance.n_vars
-    seq = branch_function_sequence(instance, heuristic, n + 1, operator)
+    return stationary_point(branch_function_sequence(
+        instance, heuristic, instance.n_vars + 1, operator))
+
+
+def stationary_point(seq: Sequence[Fraction]) -> Tuple[int, Fraction]:
+    """(T*, B*) of an unsat instance's B(0..N+1) (branch_function_sequence
+    with t_max = N + 1)."""
+    n = len(seq) - 2
     b_star = seq[n + 1]
     if seq[n] != b_star:
         raise AssertionError("branch function failed to become stationary by T=N")

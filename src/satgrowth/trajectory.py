@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .dpll import GUC, HEURISTICS, SC1, UC, PhasePoint
+from .dpll import GUC, SC1, UC, PhasePoint, check_heuristic
 from .numerics import bessel_i0e, bessel_i1e, bisect_root, hermite_eval, integrate_ode
 
 
@@ -51,15 +51,11 @@ C2_NEGATIVE = "c2_negative"
 S_LIMIT = "s_limit"
 
 
-# branch integration horizon in s = -ln(1-t), and the clause density below
-# which the clauses count as exhausted
+# branch integration horizon in s = -ln(1-t), the default largest step in
+# s, and the clause density below which the clauses count as exhausted
 S_MAX = 14.0
+MAX_STEP = 0.02
 EPS_END = 1e-10
-
-
-@dataclass
-class StepControl:
-    max_step: float = 0.02   # in s = -ln(1-t)
 
 
 def heuristic_h(kind: str, c3: float, one_t: float) -> float:
@@ -120,16 +116,15 @@ class BranchTrajectory:
 
 
 def integrate_branch(alpha0: float, heuristic: str,
-                     step_control: Optional[StepControl] = None) -> BranchTrajectory:
+                     max_step: float = MAX_STEP) -> BranchTrajectory:
     """Adaptive integration from (t=0, c2=0, c3=alpha0) until the clauses are
-    exhausted, rho1 crosses 0, or c2 leaves the physical range."""
+    exhausted, rho1 crosses 0, or c2 leaves the physical range; steps are at
+    most `max_step` in s = -ln(1-t)."""
     if alpha0 <= 0:
         raise ValueError("alpha0 must be positive")
     if heuristic == GUC and alpha0 <= 2 / 3:
         raise UnsupportedDomainError("GUC branch ODEs need alpha0 > 2/3")
-    if heuristic not in HEURISTICS:
-        raise ValueError(f"unknown heuristic {heuristic!r}")
-    ctl = step_control or StepControl()
+    check_heuristic(heuristic)
 
     def rhs(s, y):
         c2, c3 = y
@@ -146,7 +141,7 @@ def integrate_branch(alpha0: float, heuristic: str,
                 or 1.0 - c2 / one_t < 0.0)
 
     ss, ys, fs = integrate_ode(rhs, 0.0, S_MAX, [0.0, alpha0],
-                               max_step=ctl.max_step, stop=stop)
+                               max_step=max_step, stop=stop)
     states = [DensityState(1.0 - math.exp(-s), y[0], y[1]) for s, y in zip(ss, ys)]
     derivs = [(f[0], f[1]) for f in fs]
     # termination reason from the final state
@@ -183,29 +178,29 @@ def integrate_branch(alpha0: float, heuristic: str,
     return traj
 
 
-def crosses_sat_boundary(alpha0: float, heuristic: str,
-                         step_control: Optional[StepControl] = None) -> bool:
-    """True when the branch trajectory leaves the sat phase (rho1 dips below 0,
-    i.e. the trajectory touches alpha (1-p) = 1, which for the marginal start
-    happens exactly at the tricritical point on the critical line)."""
-    traj = integrate_branch(alpha0, heuristic, step_control)
-    return traj.termination == RHO1_NEGATIVE or traj.rho1_min < 0.0
-
-
 def find_alpha_l(heuristic: str, tol: float = 2e-4,
-                 step_control: Optional[StepControl] = None) -> float:
-    """Largest start ratio whose trajectory never leaves the sat phase,
-    by bisection on the crossing predicate to width tol."""
+                 max_step: float = MAX_STEP) -> float:
+    """Largest start ratio whose trajectory never leaves the sat phase, by
+    bisection to width tol; branches integrate with steps of at most
+    `max_step` in s.
+
+    A trajectory leaves the sat phase when rho1 dips below 0, i.e. when it
+    touches alpha (1-p) = 1, which for the marginal start happens exactly at
+    the tricritical point on the critical line."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+
+    def crosses(alpha0):
+        traj = integrate_branch(alpha0, heuristic, max_step)
+        return traj.termination == RHO1_NEGATIVE or traj.rho1_min < 0.0
     lo, hi = 2.0, 4.0  # brackets alpha_L under every heuristic
-    if crosses_sat_boundary(lo, heuristic, step_control):
+    if crosses(lo):
         raise ValueError(f"bracket low end {lo} already crosses")
-    if not crosses_sat_boundary(hi, heuristic, step_control):
+    if not crosses(hi):
         raise ValueError(f"bracket high end {hi} does not cross")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if crosses_sat_boundary(mid, heuristic, step_control):
+        if crosses(mid):
             hi = mid
         else:
             lo = mid

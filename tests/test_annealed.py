@@ -5,6 +5,7 @@ The differential tests need gcc to build `annealed_kernel.c` and skip
 without it; with gcc present, a kernel that fails to build fails them.
 """
 
+import contextlib
 import hashlib
 import math
 import os
@@ -18,6 +19,8 @@ from satgrowth.annealed import (BranchCountField, annealed_omega_estimate,
                                 guc_transition_row, mass_curve)
 from satgrowth.cnf import ClauseVector
 from satgrowth.ensemble import EnsembleConfig, run_ensemble
+
+LOADER = "load_annealed"
 
 
 def _binom(n, k):
@@ -95,20 +98,18 @@ def _backends():
     return ("numpy",) if native._compiler() is None else ("kernel", "numpy")
 
 
-def _numpy_passes(monkeypatch):
-    """Within the context, the chain runs the numpy passes."""
-    monkeypatch.setattr(native, "load_annealed", lambda: None)
+def _backend(name, reference):
+    """The context in which the chain runs the `name` backend's passes."""
+    return reference() if name == "numpy" else contextlib.nullcontext()
 
 
-def test_engine_matches_rows(monkeypatch):
+def test_engine_matches_rows(reference):
     # (1, 40, 100) and (0, 45, 100) sit high enough in C2 that the padded
     # window does not reach C2 = 0
     cases = ((0, 0, 120), (0, 5, 40), (3, 7, 50), (2, 12, 80), (1, 0, 0),
              (1, 40, 100), (0, 45, 100))
     for backend in _backends():
-        with monkeypatch.context() as m:
-            if backend == "numpy":
-                _numpy_passes(m)
+        with _backend(backend, reference):
             for cv in cases:
                 arr = np.zeros((cv[0] + 1, 1, 1))
                 arr[cv[0], 0, 0] = 1.0
@@ -123,15 +124,13 @@ def test_engine_matches_rows(monkeypatch):
                 assert abs(field.total_mass() - sum(w for _, w in row)) < 1e-12
 
 
-def test_trimmed_padding_matches_padding_to_zero(monkeypatch):
+def test_trimmed_padding_matches_padding_to_zero(reference):
     # a window high in C2 is padded by the step's support only; the same
     # window padded down to C2 = 0 first gives the same cells, bit for bit,
     # and nothing below them
     arr = np.random.default_rng(5).random((3, 6, 8))
     for backend in _backends():
-        with monkeypatch.context() as m:
-            if backend == "numpy":
-                _numpy_passes(m)
+        with _backend(backend, reference):
             out, c2lo, c3lo = annealed._engine_step(arr, 40, 200, 2, 60, 1e-14)
             wide = np.pad(arr, ((0, 0), (40, 0), (0, 0)))
             ref, ref_c2lo, ref_c3lo = annealed._engine_step(wide, 0, 200, 2, 60, 1e-14)
@@ -267,15 +266,6 @@ def test_pruned_mass_accounting():
         assert 0.0 < relative < bound, (threshold, relative)
 
 
-@pytest.fixture(scope="module")
-def kernel():
-    if native._compiler() is None:
-        pytest.skip("no C compiler (gcc) on PATH: the annealed kernel cannot be built")
-    lib = native.load_annealed()
-    assert lib is not None, "gcc is present but the annealed kernel did not build"
-    return lib
-
-
 def _chain(alpha0, n, **kw):
     return [(f.T, f.c2_lo, f.c3_lo, f.pruned_mass, f.array)
             for f in annealed.evolve_branch_counts(alpha0, n, **kw)]
@@ -307,7 +297,7 @@ def entry_pairs(kernel):
             for threads in _THREADS}
 
 
-def test_kernel_chains_match_numpy(entry_pairs, monkeypatch):
+def test_kernel_chains_match_numpy(entry_pairs, monkeypatch, reference):
     # every pass with at least two destination cells splits
     monkeypatch.setattr(annealed, "THREAD_CELLS", 1)
     compiled = {}
@@ -315,9 +305,9 @@ def test_kernel_chains_match_numpy(entry_pairs, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(native, "load_annealed", lambda: passes)
             compiled[name] = [_chain(a0, n, **kw) for a0, n, kw in _DIFF_CASES]
-    _numpy_passes(monkeypatch)
     for i, (a0, n, kw) in enumerate(_DIFF_CASES):
-        want = _chain(a0, n, **kw)
+        with reference():
+            want = _chain(a0, n, **kw)
         for name, chains in compiled.items():
             _assert_same_chain(chains[i], want, (name, a0, n))
 
@@ -356,7 +346,7 @@ def _large_pass_cases():
             (annealed._convert_pass, rng.random((2, 11, cells // 22 + 1)), 1))
 
 
-def test_kernel_passes_match_numpy(entry_pairs, monkeypatch):
+def test_kernel_passes_match_numpy(entry_pairs, monkeypatch, reference):
     # the small windows at one destination cell per thread, the large ones
     # at the library's THREAD_CELLS
     cases = []
@@ -386,10 +376,10 @@ def test_kernel_passes_match_numpy(entry_pairs, monkeypatch):
                 m.setattr(annealed, "THREAD_CELLS", thread_cells)
                 outs.append(fn(arr, weights, axis))
             compiled[name] = outs
-    _numpy_passes(monkeypatch)
     narrow = subnormal = 0
     for i, (fn, arr, weights, axis, _, lo, p) in enumerate(cases):
-        want = fn(arr, weights, axis)
+        with reference():
+            want = fn(arr, weights, axis)
         for name, outs in compiled.items():
             got = outs[i]
             assert got.shape == want.shape and np.array_equal(got, want), \
@@ -492,16 +482,13 @@ def test_sliver_rows_match_transition_rows():
         annealed._sliver_rows(np.ones(1), 100, 40, 1e-14)
 
 
-def test_fallback_without_compiler(monkeypatch):
+def test_fallback_without_compiler(fresh_load):
     want = _chain(10.0, 30)
     native.load_annealed.cache_clear()
-    monkeypatch.setattr(native, "_compiler", lambda: None)
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = _chain(10.0, 30)
-    finally:
-        native.load_annealed.cache_clear()
+    fresh_load.setattr(native, "_compiler", lambda: None)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _chain(10.0, 30)
     _assert_same_chain(got, want, "no compiler")
     assert len(caught) == 1, [str(w.message) for w in caught]
     message = str(caught[0].message)

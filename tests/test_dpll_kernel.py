@@ -13,40 +13,22 @@ import subprocess
 import sys
 import warnings
 
-import pytest
-
 from common import I1, I2, I3
 from satgrowth import dpll, native
 from satgrowth.cnf import generate_random_instance
 
-
-@pytest.fixture(scope="module")
-def kernel():
-    if native._compiler() is None:
-        pytest.skip("no C compiler (gcc) on PATH: the kernel cannot be built")
-    lib = native.load()
-    assert lib is not None, "gcc is present but the DPLL kernel did not build"
-    return lib
+LOADER = "load"
 
 
-@pytest.fixture
-def fresh_load(monkeypatch):
-    """native.load() rebuilt from scratch inside the test and again after."""
-    native.load.cache_clear()
-    yield monkeypatch
-    native.load.cache_clear()
-
-
-def _python_solve(solver, seed, monkeypatch, record_cloud=True):
-    with monkeypatch.context() as m:
-        m.setattr(native, "load", lambda: None)
+def _python_solve(solver, seed, reference, record_cloud=True):
+    with reference():
         return solver.solve(seed, record_cloud=record_cloud)
 
 
-def _assert_same(solver, seeds, monkeypatch, record_cloud=True):
+def _assert_same(solver, seeds, reference, record_cloud=True):
     for seed in seeds:
         got = solver.solve(seed, record_cloud=record_cloud)
-        want = _python_solve(solver, seed, monkeypatch, record_cloud)
+        want = _python_solve(solver, seed, reference, record_cloud)
         assert got == want, (solver.instance, solver.heuristic, seed)
 
 
@@ -59,15 +41,16 @@ def test_random_stream_matches_python(kernel):
         assert list(got) == [rng.random() for _ in got], seed
 
 
-def test_toy_instances_match(kernel, monkeypatch):
+def test_toy_instances_match(kernel, reference):
     # unit clauses (I1) and a tautological pair (I3) included
     for inst in (I1, I2, I3):
         for h in dpll.HEURISTICS:
-            _assert_same(dpll.DpllSolver(inst, h), range(100), monkeypatch)
+            _assert_same(dpll.DpllSolver(inst, h), range(100), reference)
 
 
-def test_random_instances_match(kernel, monkeypatch):
-    # 2+p mixes from easy sat to unsat, N from 3 to 60: 1200 pairs
+def test_random_instances_match(kernel, reference):
+    # 2+p mixes from easy sat to unsat, N from 3 to 60: 1200 pairs, and an
+    # N=30 mix solved with seed 7: 3 pairs
     pairs = 0
     for i in range(400):
         n = 3 + i % 58
@@ -75,20 +58,24 @@ def test_random_instances_match(kernel, monkeypatch):
         n3 = int(round((1.0 + (i % 11) * 0.5) * n)) - n2 // 2
         inst = generate_random_instance(n, n2, max(n3, 0), 31000 + i)
         for h in dpll.HEURISTICS:
-            _assert_same(dpll.DpllSolver(inst, h), [i], monkeypatch,
+            _assert_same(dpll.DpllSolver(inst, h), [i], reference,
                          record_cloud=i % 2 == 0)
             pairs += 1
-    assert pairs == 1200
+    inst = generate_random_instance(30, 5, 120, 33000)
+    for h in dpll.HEURISTICS:
+        _assert_same(dpll.DpllSolver(inst, h), [7], reference)
+        pairs += 1
+    assert pairs == 1203
 
 
-def test_alpha10_guc_match(kernel, monkeypatch):
+def test_alpha10_guc_match(kernel, reference):
     for n, seed in ((100, 1), (100, 2), (150, 3), (200, 4), (300, 5)):
         inst = generate_random_instance(n, 0, 10 * n, 32000 + n + seed)
         solver = dpll.DpllSolver(inst, dpll.GUC)
-        _assert_same(solver, [seed], monkeypatch)
+        _assert_same(solver, [seed], reference)
 
 
-def test_compiled_path_builds_no_reference_state(kernel, monkeypatch):
+def test_compiled_path_builds_no_reference_state(kernel, reference):
     inst = generate_random_instance(60, 10, 240, 37000)
     for h in dpll.HEURISTICS:
         solver = dpll.DpllSolver(inst, h)
@@ -98,19 +85,7 @@ def test_compiled_path_builds_no_reference_state(kernel, monkeypatch):
         assert not hasattr(solver, "clause_lits") and not hasattr(solver, "lives")
         solver.reset(5)
         assert len(solver.occ) == 2 * inst.n_vars and len(solver.lives[3]) == 240
-        assert _python_solve(solver, 5, monkeypatch) == got
-
-
-def test_check_invariants_runs_reference(kernel, monkeypatch):
-    inst = generate_random_instance(30, 5, 120, 33000)
-    compiled = [dpll.solve(inst, h, 7) for h in dpll.HEURISTICS]
-
-    def no_kernel():
-        raise AssertionError("check_invariants=True must not use the kernel")
-    monkeypatch.setattr(native, "load", no_kernel)
-    checked = [dpll.solve(inst, h, 7, check_invariants=True)
-               for h in dpll.HEURISTICS]
-    assert checked == compiled
+        assert _python_solve(solver, 5, reference) == got
 
 
 def test_fallback_without_compiler(kernel, fresh_load):

@@ -17,11 +17,12 @@ from pathlib import Path
 import pytest
 
 from common import REPEATED
-from satgrowth import dpll, native, oracle
+from satgrowth import dpll, oracle
 from satgrowth.cnf import (brute_force_satisfiable, classify,
                            generate_random_instance)
 
 GOLDEN_PATH = Path(__file__).with_name("oracle_golden.json")
+LOADER = "load_oracle"
 
 # (2-clause ratio, 3-clause ratio) per instance at each N: sat and unsat,
 # pure 3-SAT and 2+p mixtures
@@ -134,16 +135,16 @@ def test_operator_matches_one_state_reference(key, inst, heuristic):
 @pytest.mark.parametrize("key,inst,heuristic", CORPUS,
                          ids=[key for key, _, _ in CORPUS])
 def test_fallback_path_matches_golden_and_compiled(key, inst, heuristic,
-                                                   monkeypatch):
+                                                   reference):
     """The Python closure walk, run as the fallback, passes the golden check
     and builds the operator of the default path (the compiled walk where gcc
     is present): equal columns in equal key order and equal violating sets.
     The default path's operator passes the one-state reference check in
     test_operator_matches_one_state_reference."""
     compiled = oracle.build_evolution_operator(inst, heuristic)
-    monkeypatch.setattr(native, "load_oracle", lambda: None)
-    assert golden_record(inst, heuristic) == _golden()[key]
-    op = oracle.build_evolution_operator(inst, heuristic)
+    with reference():
+        assert golden_record(inst, heuristic) == _golden()[key]
+        op = oracle.build_evolution_operator(inst, heuristic)
     assert op.columns == compiled.columns
     assert list(op.columns) == list(compiled.columns)
     assert op.violating == compiled.violating

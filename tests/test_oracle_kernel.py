@@ -17,28 +17,11 @@ from common import I1, I2, I3, REPEATED
 from satgrowth import dpll, native, oracle
 from satgrowth.cnf import Instance, clause, generate_random_instance
 
-
-@pytest.fixture(scope="module")
-def kernel():
-    if native._compiler() is None:
-        pytest.skip("no C compiler (gcc) on PATH: the kernel cannot be built")
-    lib = native.load_oracle()
-    assert lib is not None, "gcc is present but the oracle kernel did not build"
-    return lib
+LOADER = "load_oracle"
 
 
-@pytest.fixture
-def fresh_load(monkeypatch):
-    """native.load_oracle() rebuilt from scratch inside the test and again
-    after."""
-    native.load_oracle.cache_clear()
-    yield monkeypatch
-    native.load_oracle.cache_clear()
-
-
-def _python_build(inst, heuristic, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(native, "load_oracle", lambda: None)
+def _python_build(inst, heuristic, reference):
+    with reference():
         return oracle.build_evolution_operator(inst, heuristic)
 
 
@@ -49,12 +32,12 @@ def _assert_same(got, want):
     assert got.violating == want.violating
 
 
-def _assert_matches_python(inst, heuristic, monkeypatch):
+def _assert_matches_python(inst, heuristic, reference):
     _assert_same(oracle.build_evolution_operator(inst, heuristic),
-                 _python_build(inst, heuristic, monkeypatch))
+                 _python_build(inst, heuristic, reference))
 
 
-def test_random_instances_match(kernel, monkeypatch):
+def test_random_instances_match(kernel, reference):
     # 2+p mixes at N = 9..12 under every heuristic, sat and unsat
     pairs = 0
     for n in range(9, 13):
@@ -63,12 +46,12 @@ def test_random_instances_match(kernel, monkeypatch):
             inst = generate_random_instance(n, int(round(a2 * n)),
                                             int(round(a3 * n)), 41000 + 10 * n + j)
             for h in dpll.HEURISTICS:
-                _assert_matches_python(inst, h, monkeypatch)
+                _assert_matches_python(inst, h, reference)
                 pairs += 1
     assert pairs == 24
 
 
-def test_edge_instances_match(kernel, monkeypatch):
+def test_edge_instances_match(kernel, reference):
     # no clauses, no variables, an empty literal buffer built directly,
     # unit clauses, a tautological pair and repeated variables
     edge = (Instance(3, []), Instance(0, []),
@@ -76,7 +59,7 @@ def test_edge_instances_match(kernel, monkeypatch):
             I1, I2, I3, Instance(2, [clause(1, 2)]), *REPEATED)
     for inst in edge:
         for h in dpll.HEURISTICS:
-            _assert_matches_python(inst, h, monkeypatch)
+            _assert_matches_python(inst, h, reference)
     for h in dpll.HEURISTICS:
         op = oracle.build_evolution_operator(Instance(0, []), h)
         assert op.columns == {0: []} and op.violating == set()

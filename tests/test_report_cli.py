@@ -75,8 +75,9 @@ def test_cli_oracle(tmp_path, capsys, monkeypatch):
               "--out", cnf_path])
     builds = _counting(monkeypatch, oracle, "build_evolution_operator")
     checks = _counting(monkeypatch, oracle, "brute_force_satisfiable")
+    sums = _counting(monkeypatch, oracle, "branch_function_sequence")
     assert cli.main(["oracle", cnf_path, "--mc", "500"]) == 0
-    assert len(builds) == 1 and len(checks) == 1
+    assert len(builds) == 1 and len(checks) == 1 and len(sums) == 1
     out = capsys.readouterr().out
     assert "B(T):" in out and "monte carlo leaves:" in out
     lines = out.splitlines()
@@ -106,6 +107,19 @@ def test_cli_error_exit(tmp_path, capsys):
         assert "error:" in captured.err and captured.out == "", argv
     assert cli.main(["annealed", "--alpha0", "0", "--n-vars", "30"]) == 1
     assert "error:" in capsys.readouterr().err
+    # growth PDE inputs: --alpha0 missing or not positive without --g, and
+    # G points off the phase diagram (p outside [0, 1], alpha <= 0, t
+    # outside [0, 1)) for pde and for the Table 1 upper-sat row
+    table = str(tmp_path / "table1.csv")
+    for argv in (["pde"], ["pde", "--upper-sat"], ["pde", "--alpha0", "-5"],
+                 ["pde", "--alpha0", "0"], ["pde", "--g", "1.5,3.0,0.2"],
+                 ["pde", "--g", "0.8,0,0.2"], ["pde", "--g", "0.8,3.0,-0.1"],
+                 ["pde", "--g", "0.8,3.0,1.0"],
+                 ["report", "table1", "--out", table, "--g", "0.5,-3,0.2"]):
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == "", argv
+    assert not os.path.exists(table)
 
 
 def test_cli_oracle_out_of_memory(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from satgrowth.numerics import bessel_i0e, bessel_i1e
-from satgrowth.trajectory import (CriticalLine, DensityState, StepControl,
+from satgrowth.trajectory import (CriticalLine, DensityState,
                                   UnsupportedDomainError, find_alpha_l, find_g,
                                   heuristic_h, integrate_branch, rho1,
                                   to_phase_coords, tricritical_check)
@@ -100,10 +100,8 @@ def test_sat_phase_containment():
 
 
 def test_alpha_l_step_halving():
-    coarse = find_alpha_l("GUC", tol=1e-4,
-                          step_control=StepControl(max_step=0.02))
-    fine = find_alpha_l("GUC", tol=1e-4,
-                        step_control=StepControl(max_step=0.01))
+    coarse = find_alpha_l("GUC", tol=1e-4, max_step=0.02)
+    fine = find_alpha_l("GUC", tol=1e-4, max_step=0.01)
     assert abs(coarse - fine) < 5e-5
 
 
