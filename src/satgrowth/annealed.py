@@ -425,13 +425,14 @@ def evolve_branch_counts(alpha0: float, N: int,
     Yields one BranchCountField per depth T (T = 0 included).  Stops at t_max
     (default N-5), or two declining steps after the total mass peaks (the
     halt regime).  Mass below pruning_threshold x total is dropped each step
-    and reported as the field's pruned_mass.  Raises ValueError unless N >= 6, alpha0 > 0,
-    0 <= pruning_threshold < 1 and 0 < tail < 1.
+    and reported as the field's pruned_mass.  Raises ValueError unless N >= 6,
+    alpha0 is positive and finite, 0 <= pruning_threshold < 1 and
+    0 < tail < 1.
     """
     if N < 6:
         raise ValueError(f"the annealed chain needs N >= 6 variables, got {N}")
-    if not alpha0 > 0.0:
-        raise ValueError(f"alpha0 must be positive, got {alpha0}")
+    if not 0.0 < alpha0 < math.inf:
+        raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
     if not 0.0 <= pruning_threshold < 1.0:
         raise ValueError(f"pruning threshold must lie in [0, 1), got {pruning_threshold}")
     if not 0.0 < tail < 1.0:

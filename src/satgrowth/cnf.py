@@ -3,7 +3,8 @@ clause classification against partial states, and DIMACS interchange.
 
 Variables are 0-indexed.  A literal is packed as 2*variable + negated, so
 even codes are positive literals; this is the only clause representation,
-and the compiled solver kernel reads it as is.  A partial state is a
+and the compiled DPLL kernel reads it as is and draws random instances
+straight into it.  A partial state is a
 sequence of marks, one per variable: undetermined (U), true (T) or false
 (F).  Clause classification and the clause-vector count (C1, C2, C3) of
 undetermined clauses by length are the reference semantics that the
@@ -17,9 +18,12 @@ from array import array
 from itertools import accumulate, chain
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
+from . import native
+
 U, T, F = 0, 1, 2
 _MARKS = {"u": U, "t": T, "f": F}
 BRUTE_FORCE_MAX_VARS = 24
+MAX_VARS = 2**30  # the most variables a generated instance's int32 literals hold
 
 Clause = Tuple[int, ...]
 
@@ -56,26 +60,27 @@ class Instance:
 
     def __init__(self, n_vars: int, clauses: Iterable[Sequence[int]]):
         clauses = list(clauses)
-        self._adopt(n_vars, array("i", chain.from_iterable(clauses)),
-                    array("i", accumulate(map(len, clauses), initial=0)))
+        lits = array("i", chain.from_iterable(clauses))
+        n_vars = int(n_vars)
+        if clauses and not 1 <= min(map(len, clauses)) <= max(map(len, clauses)) <= 3:
+            raise ValueError("clause length must be 1..3")
+        if lits and not 0 <= min(lits) <= max(lits) < 2 * n_vars:
+            bad = next(lit for lit in lits if not 0 <= lit < 2 * n_vars)
+            raise ValueError(f"literal {_dimacs(bad)} out of range for "
+                             f"n_vars={n_vars}")
+        self.n_vars = n_vars
+        self.lits = lits
+        self.starts = array("i", accumulate(map(len, clauses), initial=0))
 
     @classmethod
     def _from_buffers(cls, n_vars: int, lits: array, starts: array) -> "Instance":
+        """An instance over buffers that hold valid clauses by construction
+        (the generator's), taken as they are, unchecked."""
         inst = cls.__new__(cls)
-        inst._adopt(n_vars, lits, starts)
+        inst.n_vars = n_vars
+        inst.lits = lits
+        inst.starts = starts
         return inst
-
-    def _adopt(self, n_vars: int, lits: array, starts: array) -> None:
-        self.n_vars = int(n_vars)
-        lengths = list(map(operator.sub, starts[1:], starts))
-        if lengths and not 1 <= min(lengths) <= max(lengths) <= 3:
-            raise ValueError("clause length must be 1..3")
-        if lits and not 0 <= min(lits) <= max(lits) < 2 * self.n_vars:
-            bad = next(lit for lit in lits if not 0 <= lit < 2 * self.n_vars)
-            raise ValueError(f"literal {_dimacs(bad)} out of range for "
-                             f"n_vars={self.n_vars}")
-        self.lits = lits
-        self.starts = starts
 
     @property
     def n_clauses(self) -> int:
@@ -146,13 +151,36 @@ def generate_random_instance(n_vars: int, n_2clauses: int, n_3clauses: int,
                              seed: int) -> Instance:
     """Random 2+p-SAT instance: each k-clause picks k distinct variables
     uniformly, each literal negated with probability 1/2.  Clauses are drawn
-    independently (repeats across the instance are allowed)."""
+    independently (repeats across the instance are allowed).  The int `seed`
+    fixes the draws of random.Random(seed).
+
+    The DPLL kernel (native.load()) makes the draws when it is built here,
+    and _draw_clauses, the reference, otherwise; both give the same
+    instance."""
     if n_3clauses > 0 and n_vars < 3:
         raise ValueError("need n_vars >= 3 to draw 3-clauses")
     if n_2clauses > 0 and n_vars < 2:
         raise ValueError("need n_vars >= 2 to draw 2-clauses")
     if n_2clauses < 0 or n_3clauses < 0 or n_vars < 1:
         raise ValueError("sizes must be non-negative (n_vars >= 1)")
+    if n_vars > MAX_VARS:
+        raise ValueError(f"n_vars must be at most {MAX_VARS}: packed literals "
+                         f"are 32-bit")
+    if 2 * n_2clauses + 3 * n_3clauses >= 2**31:
+        raise ValueError("too many clauses: clause offsets are 32-bit")
+    seed = operator.index(seed)
+    lib = native.load()
+    if lib is not None:
+        lits, starts = native.generate(lib, n_vars, n_2clauses, n_3clauses, seed)
+    else:
+        lits, starts = _draw_clauses(n_vars, n_2clauses, n_3clauses, seed)
+    return Instance._from_buffers(n_vars, lits, starts)
+
+
+def _draw_clauses(n_vars: int, n_2clauses: int, n_3clauses: int,
+                  seed: int) -> Tuple[array, array]:
+    """The (lits, starts) buffers of generate_random_instance, drawn in
+    Python."""
     randrange = random.Random(seed).randrange
     lits = array("i")
     push = lits.append
@@ -177,7 +205,7 @@ def generate_random_instance(n_vars: int, n_2clauses: int, n_3clauses: int,
         push(2 * v3 + randrange(2))
     starts = array("i", range(0, 2 * n_2clauses, 2))
     starts.extend(range(2 * n_2clauses, len(lits) + 1, 3))
-    return Instance._from_buffers(n_vars, lits, starts)
+    return lits, starts
 
 
 def brute_force_satisfiable(instance: Instance) -> bool:

@@ -16,15 +16,18 @@ node reached back by backtracking).
 `DpllSolver.solve` runs a compiled port of its search loop
 (`dpll_kernel.c`, built on first use by `native`) that reproduces this
 module's bookkeeping and random draws bit for bit; it reads the instance's
-packed-literal buffers as they are.  The Python loop below is the reference:
-it runs when the kernel cannot be built here, and builds its clause and
-occurrence lists on first use.
+packed-literal buffers as they are and checks a sat assignment against every
+clause.  `DpllSolver.leaf_counts` runs a batch of cloud-free searches, one
+per seed, in one kernel call per LEAF_BATCH seeds.  The Python loop below is
+the reference: it runs when the kernel cannot be built here, and builds its
+clause and occurrence lists on first use.
 """
 
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional
+from itertools import islice
+from typing import Iterable, Iterator, List, NamedTuple, Optional
 
 from . import cnf, native
 from .cnf import Instance
@@ -41,6 +44,8 @@ UC = "UC"
 GUC = "GUC"
 SC1 = "SC1"
 HEURISTICS = (UC, GUC, SC1)
+
+LEAF_BATCH = 1024  # the most seeds one kernel call of leaf_counts takes
 
 QUIESCENT = "quiescent"
 CONTRADICTION = "contradiction"
@@ -377,11 +382,27 @@ class DpllSolver:
                           heuristic=self.heuristic, n_vars=self.n,
                           assignment=assignment)
 
+    def leaf_counts(self, seeds: Iterable[int]) -> Iterator[int]:
+        """b_leaves of solve(seed, record_cloud=False) for each seed, in
+        order.  The kernel runs the searches LEAF_BATCH seeds per call, so a
+        long stream of seeds is read and answered a batch at a time."""
+        lib = native.load()
+        if lib is None:
+            for seed in seeds:
+                yield self.solve(seed, record_cloud=False).b_leaves
+            return
+        lits, starts = self.instance.lits, self.instance.starts
+        seeds = iter(seeds)
+        while batch := [_mix_seed(s) for s in islice(seeds, LEAF_BATCH)]:
+            yield from native.leaf_counts(lib, self.n, lits, starts,
+                                          self.heuristic, batch)
+
     def _solve_compiled(self, lib, seed: int, record_cloud: bool) -> SolveStats:
+        # the kernel has checked a sat assignment against every clause
         sat, q_splits, b_leaves, g, cloud, values = native.solve(
             lib, self.n, self.instance.lits, self.instance.starts, self.heuristic,
             _mix_seed(seed), record_cloud)
-        assignment = self._verified([v == 1 for v in values]) if sat else None
+        assignment = [v == 1 for v in values] if sat else None
         return SolveStats(result="sat" if sat else "unsat", q_splits=q_splits,
                           b_leaves=b_leaves,
                           cloud=[_phase_point(self.n, *pt) for pt in cloud],

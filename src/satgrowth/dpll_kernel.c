@@ -1,14 +1,19 @@
-/* Compiled search loop of satgrowth.dpll.DpllSolver.solve.
+/* Compiled random streams of satgrowth's DPLL layer: the search loop of
+ * dpll.DpllSolver.solve, its batch form for Monte Carlo leaf counts, and
+ * the instance draw of cnf.generate_random_instance.
  *
- * Every step mirrors the Python reference in dpll.py: the same live-clause
- * pools with the same swap-remove order, the same free-variable list, the
- * same frame stack and g-node rule, and the same random draws.  The stream is
- * CPython's random.Random: MT19937 seeded by init_by_array over the
- * little-endian 32-bit words of the seed, with random() built as
- * genrand_res53, so every int(random() * len) index agrees and the search
- * tree, its counters, the cloud and the sat assignment come out bit for bit
- * equal.  Phase points leave as integer (assigned, C2, C3) triples; Python
- * forms the floats.
+ * Every step mirrors the Python reference: the search keeps dpll.py's
+ * live-clause pools with the same swap-remove order, the same free-variable
+ * list, the same frame stack and g-node rule, and the same random draws;
+ * the generator makes cnf.py's randrange calls in the same order.  The
+ * stream is CPython's random.Random: MT19937 seeded by init_by_array over
+ * the little-endian 32-bit words of the seed, with random() built as
+ * genrand_res53, so every int(random() * len) index agrees, and randrange(n)
+ * as _randbelow_with_getrandbits, so every drawn variable and sign agrees.
+ * The search tree, its counters, the cloud and the sat assignment, and the
+ * generated clauses, come out bit for bit equal.  Phase points leave as
+ * integer (assigned, C2, C3) triples; Python forms the floats.  Every sat
+ * assignment is checked against every clause before it leaves.
  *
  * Literals are packed as 2 * variable + negated.  The kernel allocates all
  * of its state per call and keeps nothing between calls, so separate calls
@@ -37,11 +42,13 @@ static void mt_init_genrand(mt_state *r, uint32_t s)
     r->mti = 0;
 }
 
-static void mt_init_by_array(mt_state *r, const uint32_t *key, int len)
+/* init_by_array's mixing of the key into r, which must hold
+   init_genrand(19650218): the solver computes that state once and starts
+   every search's seeding from a copy of it. */
+static void mt_mix_key(mt_state *r, const uint32_t *key, int len)
 {
     uint32_t *mt = r->mt;
     int i = 1, j = 0;
-    mt_init_genrand(r, 19650218U);
     for (int k = MT_N > len ? MT_N : len; k; k--) {
         mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U))
                 + key[j] + (uint32_t)j;
@@ -56,6 +63,12 @@ static void mt_init_by_array(mt_state *r, const uint32_t *key, int len)
         if (i >= MT_N) { mt[0] = mt[MT_N - 1]; i = 1; }
     }
     mt[0] = 0x80000000U;
+}
+
+static void mt_init_by_array(mt_state *r, const uint32_t *key, int len)
+{
+    mt_init_genrand(r, 19650218U);
+    mt_mix_key(r, key, len);
 }
 
 /* The twist of mt[i] is made just before mt[i] is read, which gives the
@@ -84,16 +97,30 @@ static double mt_random(mt_state *r)
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
-static void mt_seed(mt_state *r, uint64_t seed)
+/* random.Random(seed) for a seed below 2^64, from r0 = init_genrand(19650218) */
+static void mt_seed(mt_state *r, const mt_state *r0, uint64_t seed)
 {
     uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
-    mt_init_by_array(r, key, key[1] ? 2 : 1);
+    *r = *r0;
+    mt_mix_key(r, key, key[1] ? 2 : 1);
 }
 
 /* int(random() * len) */
 static int32_t mt_index(mt_state *r, int32_t len)
 {
     return (int32_t)(mt_random(r) * (double)len);
+}
+
+/* randrange(n) for 0 < n < 2^31, as _randbelow_with_getrandbits draws it:
+   getrandbits(n.bit_length()), the top bits of one word, until one is
+   below n.  shift is 32 - n.bit_length(). */
+static int32_t mt_below(mt_state *r, uint32_t n, int shift)
+{
+    uint32_t x;
+    do
+        x = mt_next(r) >> shift;
+    while (x >= n);
+    return (int32_t)x;
 }
 
 /* -------------------------------------------------------------- solver */
@@ -108,6 +135,7 @@ enum {
     SG_OK = 0,
     SG_NOMEM = -1,
     SG_UNIT_WITHOUT_FREE_LITERAL = -2,
+    SG_NOT_SATISFYING = -3,
 };
 
 typedef struct {
@@ -118,9 +146,11 @@ typedef struct {
 } frame;
 
 typedef struct {
+    int32_t n, m;                   /* variables and clauses */
     const int32_t *lits, *start;    /* clause c: lits[start[c] .. start[c+1]) */
     int32_t *occ_start, *occ;       /* literal l: occ[occ_start[l] .. occ_start[l+1]) */
     int8_t *val;                    /* -1 unassigned, 0 false, 1 true */
+    uint8_t *values;                /* the sat assignment, one byte each */
     int32_t *st;                    /* SAT1 * satcnt + nfree, per clause */
     int32_t *livepos;
     int32_t *lives[4];              /* undetermined clauses by free-slot count */
@@ -133,6 +163,7 @@ typedef struct {
     int track_free;
     int conflict;
     mt_state rng;
+    mt_state rng0;                  /* init_genrand(19650218), see mt_seed */
 } solver;
 
 static void live_remove(solver *s, int k, int32_t c)
@@ -295,12 +326,13 @@ static int32_t select_literal(solver *s, int heuristic)
     return 2 * v + mt_index(&s->rng, 2);
 }
 
-/* Fresh state for one solve, as DpllSolver.__init__ and reset() build it,
- * carved from one zeroed block that the caller frees.  Returns the frame
- * stack, n + 1 deep (a frame per assigned variable at most), or NULL when
- * out of memory. */
+/* The part of the solver state that depends on the instance only: the
+ * occurrence lists and room for everything else, carved from one zeroed
+ * block that the caller frees (s->occ_start, NULL when out of memory).
+ * Returns the frame stack, n + 1 deep (a frame per assigned variable at
+ * most), or NULL when out of memory. */
 static frame *setup(solver *s, int32_t n, int32_t m, const int32_t *lits,
-                    const int32_t *start, int heuristic, uint64_t seed)
+                    const int32_t *start, int heuristic)
 {
     int32_t nlits = start[m];
     size_t mm = (size_t)m + 1, nn = (size_t)n + 1;
@@ -310,10 +342,12 @@ static frame *setup(solver *s, int32_t n, int32_t m, const int32_t *lits,
                    + 3 * nn                     /* trail, freevars, freepos */
                    + 2 * ((size_t)nlits + 1)    /* move_c, move_x */
                    + nn * (sizeof(frame) / sizeof(int32_t));
-    int32_t *w = calloc(words * sizeof(int32_t) + nn, 1);
+    int32_t *w = calloc(words * sizeof(int32_t) + 2 * nn, 1);
     memset(s, 0, sizeof *s);
     if (!w)
         return NULL;
+    s->n = n;
+    s->m = m;
     s->lits = lits;
     s->start = start;
     s->occ_start = w;
@@ -330,6 +364,7 @@ static frame *setup(solver *s, int32_t n, int32_t m, const int32_t *lits,
     s->move_x = s->move_c + nlits + 1;
     frame *frames = (frame *)(s->move_x + nlits + 1);
     s->val = (int8_t *)(w + words);
+    s->values = (uint8_t *)s->val + nn;
 
     /* occurrence lists in clause order, duplicates kept, like dpll.py */
     for (int32_t j = 0; j < nlits; j++)
@@ -340,33 +375,133 @@ static frame *setup(solver *s, int32_t n, int32_t m, const int32_t *lits,
     for (int32_t c = 0; c < m; c++)
         for (int32_t j = start[c]; j < start[c + 1]; j++)
             s->occ[fill[lits[j]]++] = c;
-
-    memset(s->val, -1, nn);
-    for (int32_t c = 0; c < m; c++) {
-        int32_t k = start[c + 1] - start[c];
-        s->st[c] = k;
-        live_push(s, k, c);
-    }
     s->track_free = heuristic != GUC;
-    if (s->track_free) {
-        for (int32_t v = 0; v < n; v++) {
-            s->freevars[v] = v;
-            s->freepos[v] = v;
-        }
-        s->nfreevars = n;
-    }
-    mt_seed(&s->rng, seed);
+    mt_init_genrand(&s->rng0, 19650218U);
     return frames;
 }
 
-/* One complete depth-first search of the instance.
+/* Fresh search state for one seed, as DpllSolver.reset() builds it. */
+static void reset(solver *s, uint64_t seed)
+{
+    memset(s->val, -1, (size_t)s->n);
+    memset(s->nlive, 0, sizeof s->nlive);
+    for (int32_t c = 0; c < s->m; c++) {
+        int32_t k = s->start[c + 1] - s->start[c];
+        s->st[c] = k;
+        live_push(s, k, c);
+    }
+    s->ntrail = 0;
+    s->conflict = 0;
+    if (s->track_free) {
+        for (int32_t v = 0; v < s->n; v++) {
+            s->freevars[v] = v;
+            s->freepos[v] = v;
+        }
+        s->nfreevars = s->n;
+    }
+    mt_seed(&s->rng, &s->rng0, seed);
+}
+
+/* 1 when every clause holds a literal that s->values makes true */
+static int satisfied(const solver *s)
+{
+    for (int32_t c = 0; c < s->m; c++) {
+        int32_t j = s->start[c];
+        while (j < s->start[c + 1] && s->values[s->lits[j] >> 1] == (s->lits[j] & 1))
+            j++;
+        if (j == s->start[c + 1])
+            return 0;
+    }
+    return 1;
+}
+
+typedef struct {
+    int32_t *pts;   /* (assigned, C2, C3) per split node */
+    int64_t n, cap;
+} cloud_buf;
+
+/* One complete depth-first search from the state reset() made.
+ *
+ * out:     result (1 sat, 0 unsat), q_splits, b_leaves, then the g-node's
+ *          (assigned, C2, C3), assigned = -1 without a g-node
+ * cloud:   NULL, or where the split nodes' triples are appended
+ *
+ * A sat result leaves its final values in s->values.  Returns 0, or a
+ * negative SG_ code. */
+static int search(solver *s, frame *frames, int heuristic, int64_t *out,
+                  cloud_buf *cloud)
+{
+    int64_t q_splits = 0, b_leaves = 0;
+    int32_t nframes = 0;
+    int32_t g_point[3] = {-1, 0, 0};    /* g_point[0] < 0: no g-node yet */
+    int sat = 0;
+
+    for (;;) {
+        int status = propagate(s);
+        if (status < 0)
+            return status;
+        if (status) {
+            b_leaves++;
+            while (nframes && frames[nframes - 1].flipped)
+                nframes--;
+            if (!nframes)
+                break;
+            frame *f = &frames[nframes - 1];
+            int32_t tlen = f->point[0];
+            while (s->ntrail > tlen)
+                unassign(s);
+            s->conflict = 0;
+            f->flipped = 1;
+            if (g_point[0] < 0 || tlen < g_point[0])
+                memcpy(g_point, f->point, sizeof g_point);
+            assign(s, f->lit ^ 1);
+            continue;
+        }
+        if (!(s->nlive[1] || s->nlive[2] || s->nlive[3])) {
+            sat = 1;
+            b_leaves++;
+            for (int32_t v = 0; v < s->n; v++)
+                s->values[v] = s->val[v] == 1;
+            if (!satisfied(s))
+                return SG_NOT_SATISFYING;
+            break;
+        }
+        frame *f = &frames[nframes++];
+        f->point[0] = s->ntrail;
+        f->point[1] = s->nlive[2];
+        f->point[2] = s->nlive[3];
+        if (cloud) {
+            if (cloud->n == cloud->cap) {
+                int64_t grown = cloud->cap ? 2 * cloud->cap : 64;
+                int32_t *p = realloc(cloud->pts, (size_t)grown * 3 * sizeof(int32_t));
+                if (!p)
+                    return SG_NOMEM;
+                cloud->pts = p;
+                cloud->cap = grown;
+            }
+            memcpy(cloud->pts + 3 * cloud->n++, f->point, sizeof f->point);
+        }
+        f->lit = select_literal(s, heuristic);
+        f->flipped = 0;
+        q_splits++;
+        assign(s, f->lit);
+    }
+    out[0] = sat;
+    out[1] = q_splits;
+    out[2] = b_leaves;
+    out[3] = g_point[0];
+    out[4] = g_point[1];
+    out[5] = g_point[2];
+    return SG_OK;
+}
+
+/* One search of the instance.
  *
  * n, m:         variables and clauses; clause c holds the packed literals
  *               lits[start[c] .. start[c+1]), 1 to 3 of them
  * heuristic:    0 UC, 1 GUC, 2 SC1
  * seed:         the already mixed 64-bit seed of random.Random
- * out:          result (1 sat, 0 unsat), q_splits, b_leaves, then the
- *               g-node's (assigned, C2, C3), assigned = -1 without a g-node
+ * out:          as search() fills it
  * assignment:   n bytes, set to the final values when the result is sat
  * cloud:        with record_cloud, receives q_splits (assigned, C2, C3)
  *               triples in a buffer the caller releases with sg_free
@@ -377,88 +512,95 @@ int sg_solve(int32_t n, int32_t m, const int32_t *lits, const int32_t *start,
              int64_t *out, uint8_t *assignment, int32_t **cloud)
 {
     solver s;
-    frame *frames = setup(&s, n, m, lits, start, heuristic, seed);
-    int32_t *pts = NULL;
-    int64_t npts = 0, cap = 0;
-    int64_t q_splits = 0, b_leaves = 0;
-    int32_t nframes = 0;
-    int32_t g_point[3] = {-1, 0, 0};    /* g_point[0] < 0: no g-node yet */
-    int rc = frames ? SG_OK : SG_NOMEM;
-    int sat = 0;
+    frame *frames = setup(&s, n, m, lits, start, heuristic);
+    cloud_buf points = {NULL, 0, 0};
+    int rc = SG_NOMEM;
 
     *cloud = NULL;
-    while (rc == SG_OK) {
-        int status = propagate(&s);
-        if (status < 0) {
-            rc = status;
-            break;
-        }
-        if (status) {
-            b_leaves++;
-            while (nframes && frames[nframes - 1].flipped)
-                nframes--;
-            if (!nframes)
-                break;
-            frame *f = &frames[nframes - 1];
-            int32_t tlen = f->point[0];
-            while (s.ntrail > tlen)
-                unassign(&s);
-            s.conflict = 0;
-            f->flipped = 1;
-            if (g_point[0] < 0 || tlen < g_point[0])
-                memcpy(g_point, f->point, sizeof g_point);
-            assign(&s, f->lit ^ 1);
-            continue;
-        }
-        if (!(s.nlive[1] || s.nlive[2] || s.nlive[3])) {
-            sat = 1;
-            b_leaves++;
-            for (int32_t v = 0; v < n; v++)
-                assignment[v] = s.val[v] == 1;
-            break;
-        }
-        frame *f = &frames[nframes++];
-        f->point[0] = s.ntrail;
-        f->point[1] = s.nlive[2];
-        f->point[2] = s.nlive[3];
-        if (record_cloud) {
-            if (npts == cap) {
-                int64_t grown = cap ? 2 * cap : 64;
-                int32_t *p = realloc(pts, (size_t)grown * 3 * sizeof(int32_t));
-                if (!p) {
-                    rc = SG_NOMEM;
-                    break;
-                }
-                pts = p;
-                cap = grown;
-            }
-            memcpy(pts + 3 * npts++, f->point, sizeof f->point);
-        }
-        f->lit = select_literal(&s, heuristic);
-        f->flipped = 0;
-        q_splits++;
-        assign(&s, f->lit);
+    if (frames) {
+        reset(&s, seed);
+        rc = search(&s, frames, heuristic, out, record_cloud ? &points : NULL);
     }
+    if (rc == SG_OK && out[0])
+        memcpy(assignment, s.values, (size_t)n);
     free(s.occ_start);
     if (rc != SG_OK) {
-        free(pts);
+        free(points.pts);
         return rc;
     }
-    out[0] = sat;
-    out[1] = q_splits;
-    out[2] = b_leaves;
-    out[3] = g_point[0];
-    out[4] = g_point[1];
-    out[5] = g_point[2];
-    *cloud = pts;
+    *cloud = points.pts;
     return SG_OK;
+}
+
+/* One cloud-free search per seed, over one set of occurrence lists: the
+ * instance and heuristic as for sg_solve, `count` already mixed seeds, and
+ * b_leaves[i] set to the leaves of the search with seeds[i].  Returns 0, or
+ * the first negative SG_ code. */
+int sg_leaf_counts(int32_t n, int32_t m, const int32_t *lits, const int32_t *start,
+                   int32_t heuristic, int32_t count, const uint64_t *seeds,
+                   int64_t *b_leaves)
+{
+    solver s;
+    frame *frames = setup(&s, n, m, lits, start, heuristic);
+    int64_t out[6] = {0};
+    int rc = frames ? SG_OK : SG_NOMEM;
+
+    for (int32_t i = 0; rc == SG_OK && i < count; i++) {
+        reset(&s, seeds[i]);
+        rc = search(&s, frames, heuristic, out, NULL);
+        b_leaves[i] = out[2];
+    }
+    free(s.occ_start);
+    return rc;
+}
+
+/* The clauses of cnf.generate_random_instance(n, n2, n3, seed): n2
+ * 2-clauses then n3 3-clauses, their 2 n2 + 3 n3 packed literals into lits
+ * and their n2 + n3 + 1 offsets into starts.  key holds the keylen >= 1
+ * little-endian 32-bit words of abs(seed), as random.Random(seed) reads
+ * them; n <= 2^30, with 2 <= n when n2 > 0 and 3 <= n when n3 > 0.  Each
+ * clause draws its distinct variables with randrange(n), then one sign per
+ * variable with randrange(2). */
+void sg_generate(int32_t n, int64_t n2, int64_t n3, const uint32_t *key,
+                 int32_t keylen, int32_t *lits, int32_t *starts)
+{
+    mt_state r;
+    int shift = __builtin_clz((uint32_t)n);
+    int32_t *next = lits;
+    mt_init_by_array(&r, key, keylen);
+    for (int64_t c = 0; c < n2; c++) {
+        int32_t v1 = mt_below(&r, (uint32_t)n, shift);
+        int32_t v2;
+        do
+            v2 = mt_below(&r, (uint32_t)n, shift);
+        while (v2 == v1);
+        *starts++ = (int32_t)(next - lits);
+        *next++ = 2 * v1 + mt_below(&r, 2, 30);
+        *next++ = 2 * v2 + mt_below(&r, 2, 30);
+    }
+    for (int64_t c = 0; c < n3; c++) {
+        int32_t v1 = mt_below(&r, (uint32_t)n, shift);
+        int32_t v2, v3;
+        do
+            v2 = mt_below(&r, (uint32_t)n, shift);
+        while (v2 == v1);
+        do
+            v3 = mt_below(&r, (uint32_t)n, shift);
+        while (v3 == v1 || v3 == v2);
+        *starts++ = (int32_t)(next - lits);
+        *next++ = 2 * v1 + mt_below(&r, 2, 30);
+        *next++ = 2 * v2 + mt_below(&r, 2, 30);
+        *next++ = 2 * v3 + mt_below(&r, 2, 30);
+    }
+    *starts = (int32_t)(next - lits);
 }
 
 /* The first `count` values of random.Random(seed).random(). */
 void sg_random(uint64_t seed, int32_t count, double *out)
 {
-    mt_state r;
-    mt_seed(&r, seed);
+    mt_state r, r0;
+    mt_init_genrand(&r0, 19650218U);
+    mt_seed(&r, &r0, seed);
     for (int32_t i = 0; i < count; i++)
         out[i] = mt_random(&r);
 }

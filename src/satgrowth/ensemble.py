@@ -88,7 +88,11 @@ def run_ensemble(config: EnsembleConfig) -> List[RunRecord]:
     fixed base seed regardless of the worker count (write_records_csv saves
     them).  The pool has at most native.usable_cpus() workers, however many
     `parallelism` asks for.  Blocks go to the pool largest N first, so the
-    longest solves do not start last and leave workers idle at the end."""
+    longest solves do not start last and leave workers idle at the end.
+    The DPLL kernel is loaded here, before the pool forks, so every worker
+    inherits it instead of loading (or, with a cold cache, compiling) its
+    own."""
+    native.load()
     usable = native.usable_cpus()
     workers = min(config.parallelism or usable, usable)
     blocks = []

@@ -238,7 +238,11 @@ def solve_characteristics(alpha0: float, heuristic: str,
 
     Default initial data is the 3-SAT start (c2, c3) = (0, alpha0); pass the
     G-point densities (alpha_G (1-p_G), alpha_G p_G) for upper-sat subtrees.
+    Raises ValueError unless alpha0 is finite and >= 0; the upper-sat start
+    passes 0, since there the densities come from c2_init and c3_init.
     """
+    if not 0.0 <= alpha0 < math.inf:
+        raise ValueError(f"alpha0 must be finite and >= 0, got {alpha0}")
     if c3_init is None:
         c3_init = alpha0
     ctl = controls or Controls()

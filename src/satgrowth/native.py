@@ -1,9 +1,11 @@
 """Build-on-first-use loaders for the compiled kernels.
 
-Three C sources ship with the package: `dpll_kernel.c`, the DPLL search loop
-(`load()`), `annealed_kernel.c`, the annealed chain's shift-and-add passes
-(`load_annealed()`), and `oracle_kernel.c`, the exact oracle's closure walk
-(`load_oracle()`, read through `closure()`).  Each is compiled with the
+Three C sources ship with the package: `dpll_kernel.c`, the DPLL layer's
+random streams (`load()`: the search loop, its batch of Monte Carlo leaf
+counts and the random instance generator, read through `solve()`,
+`leaf_counts()` and `generate()`), `annealed_kernel.c`, the annealed chain's
+shift-and-add passes (`load_annealed()`), and `oracle_kernel.c`, the exact
+oracle's closure walk (`load_oracle()`, read through `closure()`).  Each is compiled with the
 system gcc, the first time a process asks for it, into a per-user cache
 directory ($XDG_CACHE_HOME/satgrowth, else ~/.cache/satgrowth) under a name
 keyed by a hash of the source and the compile command, and loaded with
@@ -30,8 +32,9 @@ import shutil
 import subprocess
 import tempfile
 import warnings
+from array import array
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, List, NamedTuple
 
 SOURCE = Path(__file__).with_name("dpll_kernel.c")
 ANNEALED_SOURCE = Path(__file__).with_name("annealed_kernel.c")
@@ -39,9 +42,10 @@ ORACLE_SOURCE = Path(__file__).with_name("oracle_kernel.c")
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
 
 HEURISTIC_CODES = {"UC": 0, "GUC": 1, "SC1": 2}
-# sg_solve return codes
+# sg_solve and sg_leaf_counts return codes
 _ERRORS = {-1: (MemoryError, "DPLL kernel out of memory"),
-           -2: (AssertionError, "unit clause without a free literal")}
+           -2: (AssertionError, "unit clause without a free literal"),
+           -3: (AssertionError, "solver produced a non-satisfying assignment")}
 
 
 def usable_cpus() -> int:
@@ -104,15 +108,21 @@ def _open(source_path: Path, fallback: str):
 @functools.lru_cache(maxsize=None)
 def load():
     """The loaded DPLL kernel library, or None when it cannot be built here."""
-    lib = _open(SOURCE, "the Python DPLL loop")
+    lib = _open(SOURCE, "the Python DPLL search, Monte Carlo and instance "
+                        "generator loops")
     if lib is None:
         return None
+    i32, ptr = ctypes.c_int32, ctypes.c_void_p
     lib.sg_solve.argtypes = [
-        ctypes.c_int32, ctypes.c_int32, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_int32, ctypes.c_uint64, ctypes.c_int32,
+        i32, i32, ptr, ptr, i32, ctypes.c_uint64, i32,
         ctypes.POINTER(ctypes.c_int64), ctypes.c_char_p,
         ctypes.POINTER(ctypes.POINTER(ctypes.c_int32))]
     lib.sg_solve.restype = ctypes.c_int
+    lib.sg_leaf_counts.argtypes = [i32, i32, ptr, ptr, i32, i32, ptr, ptr]
+    lib.sg_leaf_counts.restype = ctypes.c_int
+    lib.sg_generate.argtypes = [i32, ctypes.c_int64, ctypes.c_int64, ptr, i32,
+                                ptr, ptr]
+    lib.sg_generate.restype = None
     lib.sg_free.argtypes = [ctypes.c_void_p]
     lib.sg_free.restype = None
     lib.sg_random.argtypes = [ctypes.c_uint64, ctypes.c_int32,
@@ -190,6 +200,13 @@ def _fallback(code_path: str, reason: str):
     return None
 
 
+def _check(rc: int) -> None:
+    """Raise the exception of a nonzero DPLL kernel return code."""
+    if rc:
+        exc_type, message = _ERRORS.get(rc, (RuntimeError, f"DPLL kernel returned {rc}"))
+        raise exc_type(message)
+
+
 def solve(lib, n_vars: int, lits, start, heuristic: str, mixed_seed: int,
           record_cloud: bool):
     """One kernel search.  `lits` and `start` are array('i') buffers of the
@@ -203,9 +220,7 @@ def solve(lib, n_vars: int, lits, start, heuristic: str, mixed_seed: int,
     rc = lib.sg_solve(n_vars, len(start) - 1, lits.buffer_info()[0],
                       start.buffer_info()[0], HEURISTIC_CODES[heuristic],
                       mixed_seed, record_cloud, out, assignment, ctypes.byref(cloud))
-    if rc:
-        exc_type, message = _ERRORS.get(rc, (RuntimeError, f"DPLL kernel returned {rc}"))
-        raise exc_type(message)
+    _check(rc)
     sat, q_splits, b_leaves, *g = out
     triples = []
     if cloud:
@@ -214,6 +229,34 @@ def solve(lib, n_vars: int, lits, start, heuristic: str, mixed_seed: int,
         triples = [tuple(flat[i:i + 3]) for i in range(0, len(flat), 3)]
     return (bool(sat), q_splits, b_leaves, tuple(g) if g[0] >= 0 else None,
             triples, assignment.raw if sat else None)
+
+
+def leaf_counts(lib, n_vars: int, lits, start, heuristic: str,
+                mixed_seeds: List[int]) -> List[int]:
+    """b_leaves of one cloud-free kernel search per already mixed seed, in
+    one call; `lits` and `start` as for solve."""
+    seeds = array("Q", mixed_seeds)
+    counts = array("q", bytes(8 * len(seeds)))
+    _check(lib.sg_leaf_counts(n_vars, len(start) - 1, lits.buffer_info()[0],
+                              start.buffer_info()[0], HEURISTIC_CODES[heuristic],
+                              len(seeds), seeds.buffer_info()[0],
+                              counts.buffer_info()[0]))
+    return counts.tolist()
+
+
+def generate(lib, n_vars: int, n_2clauses: int, n_3clauses: int, seed: int):
+    """The (lits, starts) array('i') buffers that
+    cnf.generate_random_instance draws for an int `seed`: random.Random(seed)
+    reads the 32-bit words of abs(seed), least significant first, and so does
+    the kernel."""
+    seed = abs(seed)
+    key = array("I", [(seed >> s) & 0xFFFFFFFF
+                      for s in range(0, max(seed.bit_length(), 1), 32)])
+    lits = array("i", bytes(4 * (2 * n_2clauses + 3 * n_3clauses)))
+    starts = array("i", bytes(4 * (n_2clauses + n_3clauses + 1)))
+    lib.sg_generate(n_vars, n_2clauses, n_3clauses, key.buffer_info()[0],
+                    len(key), lits.buffer_info()[0], starts.buffer_info()[0])
+    return lits, starts
 
 
 def closure(lib, n_vars: int, lits, start, heuristic: str):

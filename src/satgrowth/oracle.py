@@ -278,11 +278,10 @@ def monte_carlo_leaf_mean(instance: Instance, heuristic: str, n_trials: int,
     if n_trials < 1:
         raise ValueError("need at least one trial")
     rng = random.Random(seed)
-    solver = dpll.DpllSolver(instance, heuristic)
+    seeds = (rng.getrandbits(63) for _ in range(n_trials))
     total = 0
     total_sq = 0
-    for _ in range(n_trials):
-        b = solver.solve(rng.getrandbits(63), record_cloud=False).b_leaves
+    for b in dpll.DpllSolver(instance, heuristic).leaf_counts(seeds):
         total += b
         total_sq += b * b
     mean = total / n_trials

@@ -1,10 +1,11 @@
 """Fixtures that reach a layer's compiled kernel and its Python reference.
 
 A test module that uses them names its loader in a module-level LOADER, one
-of "load" (the DPLL search), "load_oracle" (the closure walk) and
-"load_annealed" (the chain's passes).  The kernel runs when that loader
-returns a library and the reference code runs when it returns None, so every
-layer's tests reach the reference the same way: by patching the loader.
+of "load" (the DPLL search, its Monte Carlo batches and the instance
+generator), "load_oracle" (the closure walk) and "load_annealed" (the
+chain's passes).  The kernel runs when that loader returns a library and the
+reference code runs when it returns None, so every layer's tests reach the
+reference the same way: by patching the loader.
 """
 
 import contextlib

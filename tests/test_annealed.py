@@ -223,7 +223,7 @@ def test_chain_golden_values():
 def test_chain_rejects_bad_inputs():
     good = dict(alpha0=10.0, N=30)
     for bad in (dict(N=5), dict(N=0), dict(N=-3), dict(alpha0=0.0),
-                dict(alpha0=-1.0), dict(alpha0=math.nan),
+                dict(alpha0=-1.0), dict(alpha0=math.nan), dict(alpha0=math.inf),
                 dict(pruning_threshold=1.0), dict(pruning_threshold=2.0),
                 dict(pruning_threshold=-1e-12), dict(tail=0.0), dict(tail=1.0)):
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
-"""Differential tests of the compiled DPLL kernel against the Python loop.
+"""Differential tests of the compiled DPLL kernel against the Python loops.
 
 The kernel must reproduce the reference search bit for bit: equal SolveStats
 (result, counters, cloud, g-node, assignment) on every (instance, seed)
-pair.  Without a C compiler the comparison cannot run and the module skips;
-with one, a kernel that fails to build fails the tests.
+pair, equal leaf counts from a batch of searches, and equal generated
+instances.  Without a C compiler the comparison cannot run and the module
+skips; with one, a kernel that fails to build fails the tests.
 """
 
+import contextlib
 import ctypes
 import os
 import random
@@ -13,9 +15,11 @@ import subprocess
 import sys
 import warnings
 
+import pytest
+
 from common import I1, I2, I3
-from satgrowth import dpll, native
-from satgrowth.cnf import generate_random_instance
+from satgrowth import dpll, native, oracle
+from satgrowth.cnf import MAX_VARS, generate_random_instance
 
 LOADER = "load"
 
@@ -39,6 +43,108 @@ def test_random_stream_matches_python(kernel):
         kernel.sg_random(seed, len(got), got)
         rng = random.Random(seed)
         assert list(got) == [rng.random() for _ in got], seed
+
+
+def _generated(reference, *args):
+    """(kernel, reference) buffers of generate_random_instance(*args)."""
+    got = generate_random_instance(*args)
+    with reference():
+        want = generate_random_instance(*args)
+    return ((got.n_vars, got.lits, got.starts), (want.n_vars, want.lits, want.starts))
+
+
+def test_generator_matches_reference(kernel, reference):
+    # one-, two- and three-word seeds, negative ones, and n_vars on both
+    # sides of the powers of two where randrange's rejection rate jumps
+    seeds = (0, 1, -7, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5)
+    compared = 0
+    for seed in seeds:
+        for n in (2, 3, 4, 31, 32, 33, 64, 65):
+            shapes = [(6, 0), (0, 0)] + ([(0, 9), (4, 7)] if n >= 3 else [])
+            for n2, n3 in shapes:
+                got, want = _generated(reference, n, n2, n3, seed)
+                assert got == want, (seed, n, n2, n3)
+                assert len(got[2]) == n2 + n3 + 1
+                compared += 1
+    assert compared == 7 * (2 + 7 * 4)
+    # the largest instances the int32 literals hold, and a long stream
+    for n in (MAX_VARS - 1, MAX_VARS):
+        got, want = _generated(reference, n, 3, 3, 11)
+        assert got == want, n
+    got, want = _generated(reference, 250, 0, 2500, 2**40 + 3)
+    assert got == want
+
+
+def test_generator_rejects_bad_arguments(kernel, reference):
+    for ctx in (contextlib.nullcontext, reference):
+        with ctx():
+            with pytest.raises(ValueError, match="at most"):
+                generate_random_instance(MAX_VARS + 1, 0, 3, 0)
+            with pytest.raises(ValueError, match="offsets"):
+                generate_random_instance(10, 2, 2**31 // 3, 0)
+            with pytest.raises(TypeError):
+                generate_random_instance(10, 0, 3, 1.5)
+
+
+def _solves(solver, seeds):
+    return [solver.solve(s, record_cloud=False).b_leaves for s in seeds]
+
+
+def test_leaf_counts_match_solves(kernel, reference):
+    # the toy instances and random N = 3..12 mixes, sat ones included: the
+    # batch equals one solve per seed, on the kernel and on the reference
+    instances = [I1, I2, I3]
+    for i in range(20):
+        n = 3 + i % 10
+        instances.append(generate_random_instance(
+            n, i % 3, int(round((1.5 + (i % 7) * 1.2) * n)), 38000 + i))
+    sat_seen = set()
+    for inst in instances:
+        for h in dpll.HEURISTICS:
+            solver = dpll.DpllSolver(inst, h)
+            seeds = range(40)
+            got = list(solver.leaf_counts(seeds))
+            assert got == _solves(solver, seeds), (inst, h)
+            with reference():
+                assert list(solver.leaf_counts(iter(seeds))) == got, (inst, h)
+            sat_seen.add(solver.solve(0).result)
+    assert sat_seen == {"sat", "unsat"}
+
+
+def test_leaf_counts_batches(kernel, monkeypatch):
+    # one kernel call per LEAF_BATCH seeds, across the batch edges
+    calls = []
+    leaf_counts = native.leaf_counts
+
+    def spy(lib, n_vars, lits, start, heuristic, mixed_seeds):
+        calls.append(len(mixed_seeds))
+        return leaf_counts(lib, n_vars, lits, start, heuristic, mixed_seeds)
+    monkeypatch.setattr(native, "leaf_counts", spy)
+    inst = generate_random_instance(9, 2, 40, 39000)
+    batch = dpll.LEAF_BATCH
+    for h in dpll.HEURISTICS:
+        solver = dpll.DpllSolver(inst, h)
+        for count in (0, 1, batch - 1, batch, batch + 1):
+            calls.clear()
+            seeds = [7 * k + count for k in range(count)]
+            assert list(solver.leaf_counts(seeds)) == _solves(solver, seeds)
+            assert calls == [batch] * (count // batch) + [count % batch] * (count % batch > 0)
+
+
+def test_unsatisfying_assignment_raises():
+    # the kernel's check of a sat assignment reports as the reference's does
+    with pytest.raises(AssertionError, match="non-satisfying assignment"):
+        native._check(-3)
+
+
+def test_monte_carlo_mean_matches_reference(kernel, reference):
+    cases = [(I3, h, 500, 7) for h in dpll.HEURISTICS]
+    inst = generate_random_instance(8, 0, 60, 39100)
+    cases += [(inst, h, dpll.LEAF_BATCH + 1, 11) for h in dpll.HEURISTICS]
+    for args in cases:
+        got = oracle.monte_carlo_leaf_mean(*args)
+        with reference():
+            assert oracle.monte_carlo_leaf_mean(*args) == got, args[1:]
 
 
 def test_toy_instances_match(kernel, reference):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from satgrowth.ensemble import (EnsembleConfig, GMeasurement, RunRecord,
                                 derive_seed, extrapolate_omega,
                                 measure_g_point, read_records_csv,
                                 run_ensemble, write_records_csv)
+
+LOADER = "load"
 
 
 def _strip_runtime(records):
@@ -36,6 +39,20 @@ def test_worker_count_independent():
     seq = run_ensemble(EnsembleConfig(**base, parallelism=1))
     par = run_ensemble(EnsembleConfig(**base, parallelism=2))
     assert _strip_runtime(seq) == _strip_runtime(par)
+
+
+def test_kernel_loaded_before_the_pool_forks(fresh_load):
+    # the parent loads the DPLL kernel once and its workers inherit it; the
+    # records keep the digest they had when each worker loaded its own
+    # kernel and instances were drawn in Python
+    fresh_load.setattr(native, "usable_cpus", lambda: 2)
+    base = dict(alpha0=5.0, n_values=[14, 18], trials_per_n=6, base_seed=4)
+    records = run_ensemble(EnsembleConfig(**base, parallelism=2))
+    assert native.load.cache_info().currsize == 1
+    rows = repr(_strip_runtime(records)).encode()
+    assert hashlib.blake2b(rows, digest_size=8).hexdigest() == "30c03e782c739926"
+    assert _strip_runtime(run_ensemble(EnsembleConfig(**base, parallelism=1))) \
+        == _strip_runtime(records)
 
 
 def test_pool_sized_by_blocks(monkeypatch):

@@ -148,6 +148,15 @@ def test_omega_theory_rejects_sat_regime():
         omega_theory(3.5, "GUC")
 
 
+def test_characteristics_reject_bad_alpha0():
+    # a negative start used to march as a "no halt" series (omega 0.0148
+    # bits at -5); 0 stays valid: the upper-sat start from G passes it
+    # (test_upper_sat_from_interior_g_halts)
+    for alpha0 in (-5.0, -1e-9, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha0"):
+            solve_characteristics(alpha0, "GUC")
+
+
 def _grid_phi(alpha0, t_end, y_span=1.0, n_grid=81, dt=2e-4):
     """phi(0, 0; t_end) of the GUC growth PDE from the 3-SAT start
     phi = alpha0 y3, by a coarse Lax-Friedrichs solve on a (y2, y3) grid.

@@ -105,8 +105,10 @@ def test_cli_error_exit(tmp_path, capsys):
         assert cli.main(["annealed", "--alpha0", "10", *argv]) == 1, argv
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == "", argv
-    assert cli.main(["annealed", "--alpha0", "0", "--n-vars", "30"]) == 1
-    assert "error:" in capsys.readouterr().err
+    for alpha0 in ("0", "inf", "nan"):
+        assert cli.main(["annealed", "--alpha0", alpha0, "--n-vars", "30"]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "Traceback" not in captured.err, alpha0
     # growth PDE inputs: --alpha0 missing or not positive without --g, and
     # G points off the phase diagram (p outside [0, 1], alpha <= 0, t
     # outside [0, 1)) for pde and for the Table 1 upper-sat row
