@@ -41,9 +41,9 @@ guc_transition_row terms.
 One binomial pmf (_binom_pmf) gives the transition rows, the sliver rows
 and the passes' weight tables (_pass_weights), always with numpy; a step
 builds each table once.  The multiply-adds run in the C kernel
-annealed_kernel.c, which native.load_annealed() builds on the first step of
-a process and binds to its AVX2 entry points when the CPU has AVX2, else to
-its baseline ones.  A pass with at least THREAD_CELLS destination cells per
+annealed_kernel.c, which native.load() builds with the other kernels and
+binds (as its `passes`) to the AVX2 entry points when the CPU has AVX2, else
+to the baseline ones.  A pass with at least THREAD_CELLS destination cells per
 thread splits its destination rows across up to native.usable_cpus()
 threads, each cell computed by one of them.  When the kernel cannot be
 built the passes run in the numpy loops of _thin_pass/_convert_pass, which
@@ -229,10 +229,10 @@ def _check_pass(arr: np.ndarray, weights: np.ndarray, axis: int,
                          f"with a {weights.shape} weight table")
 
 
-def _threads(kernel: native.AnnealedPasses, cells: int) -> int:
+def _threads(passes: native.AnnealedPasses, cells: int) -> int:
     """Threads for a compiled pass with `cells` destination cells: at least
-    THREAD_CELLS cells each, at most kernel.threads."""
-    return max(1, min(kernel.threads, cells // THREAD_CELLS))
+    THREAD_CELLS cells each, at most passes.threads."""
+    return max(1, min(passes.threads, cells // THREAD_CELLS))
 
 
 def _thin_pass(arr: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
@@ -244,8 +244,8 @@ def _thin_pass(arr: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
     pad the low side by the binomial support first.
     """
     _check_pass(arr, weights, axis, 0)
-    kernel = native.load_annealed()
-    if kernel is None:
+    lib = native.load()
+    if lib is None:
         src = np.moveaxis(arr, axis, -1)
         out = np.zeros_like(src)
         c = src.shape[-1]
@@ -254,9 +254,9 @@ def _thin_pass(arr: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
         return np.moveaxis(out, -1, axis)
     src = np.ascontiguousarray(arr, dtype=float)
     out = np.zeros(src.shape)
-    kernel.thin(src.ctypes.data, out.ctypes.data, math.prod(src.shape[:axis]),
-                src.shape[axis], math.prod(src.shape[axis + 1:]),
-                weights.ctypes.data, len(weights), _threads(kernel, out.size))
+    lib.passes.thin(src.ctypes.data, out.ctypes.data, math.prod(src.shape[:axis]),
+                    src.shape[axis], math.prod(src.shape[axis + 1:]),
+                    weights.ctypes.data, len(weights), _threads(lib.passes, out.size))
     return out
 
 
@@ -271,8 +271,8 @@ def _convert_pass(arr: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray
     k_max = len(weights) - 1
     shape = list(arr.shape)
     shape[axis - 1] += k_max
-    kernel = native.load_annealed()
-    if kernel is None:
+    lib = native.load()
+    if lib is None:
         # (other, receiver, donor) view; the loop adds along the last two
         src = np.moveaxis(arr, (axis - 1, axis), (1, 2))
         a, b, c = src.shape
@@ -282,10 +282,11 @@ def _convert_pass(arr: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray
         return np.moveaxis(out, (1, 2), (axis - 1, axis))
     src = np.ascontiguousarray(arr, dtype=float)
     out = np.zeros(shape)
-    kernel.convert(src.ctypes.data, out.ctypes.data, math.prod(src.shape[:axis - 1]),
-                   src.shape[axis - 1], shape[axis - 1], src.shape[axis],
-                   math.prod(src.shape[axis + 1:]), weights.ctypes.data,
-                   len(weights), _threads(kernel, out.size))
+    lib.passes.convert(src.ctypes.data, out.ctypes.data,
+                       math.prod(src.shape[:axis - 1]), src.shape[axis - 1],
+                       shape[axis - 1], src.shape[axis],
+                       math.prod(src.shape[axis + 1:]), weights.ctypes.data,
+                       len(weights), _threads(lib.passes, out.size))
     return out
 
 

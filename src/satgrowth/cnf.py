@@ -23,7 +23,7 @@ from . import native
 U, T, F = 0, 1, 2
 _MARKS = {"u": U, "t": T, "f": F}
 BRUTE_FORCE_MAX_VARS = 24
-MAX_VARS = 2**30  # the most variables a generated instance's int32 literals hold
+MAX_VARS = 2**30  # the most variables an instance's int32 literals hold
 
 Clause = Tuple[int, ...]
 
@@ -55,13 +55,17 @@ class Instance:
     packed literals and `starts` the n_clauses + 1 offsets into it, so
     clause i is lits[starts[i]:starts[i + 1]].  Clauses have 1-3 literals.
     Generated instances never repeat a variable within a clause, but
-    hand-built ones may (e.g. a tautological pair).
+    hand-built ones may (e.g. a tautological pair).  At most MAX_VARS
+    variables, so that every literal fits the kernels' int32.
     """
 
     def __init__(self, n_vars: int, clauses: Iterable[Sequence[int]]):
         clauses = list(clauses)
-        lits = array("i", chain.from_iterable(clauses))
+        lits = list(chain.from_iterable(clauses))
         n_vars = int(n_vars)
+        if n_vars > MAX_VARS:
+            raise ValueError(f"n_vars must be at most {MAX_VARS}: packed literals "
+                             f"are 32-bit")
         if clauses and not 1 <= min(map(len, clauses)) <= max(map(len, clauses)) <= 3:
             raise ValueError("clause length must be 1..3")
         if lits and not 0 <= min(lits) <= max(lits) < 2 * n_vars:
@@ -69,7 +73,7 @@ class Instance:
             raise ValueError(f"literal {_dimacs(bad)} out of range for "
                              f"n_vars={n_vars}")
         self.n_vars = n_vars
-        self.lits = lits
+        self.lits = array("i", lits)
         self.starts = array("i", accumulate(map(len, clauses), initial=0))
 
     @classmethod

@@ -104,7 +104,7 @@ class DpllSolver:
     Separate solvers over the same Instance may run in parallel.
     """
 
-    def __init__(self, instance: Instance, heuristic: str = GUC):
+    def __init__(self, instance: Instance, heuristic: str):
         check_heuristic(heuristic)
         self.instance = instance
         self.heuristic = heuristic

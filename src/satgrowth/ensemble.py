@@ -35,6 +35,8 @@ class EnsembleConfig:
     parallelism: Optional[int] = None   # worker processes; None: usable CPUs
 
     def __post_init__(self):
+        if not 0.0 < self.alpha0 < math.inf:
+            raise ValueError(f"alpha0 must be positive and finite, got {self.alpha0}")
         self.n_values = tuple(int(n) for n in self.n_values)
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
@@ -89,9 +91,9 @@ def run_ensemble(config: EnsembleConfig) -> List[RunRecord]:
     them).  The pool has at most native.usable_cpus() workers, however many
     `parallelism` asks for.  Blocks go to the pool largest N first, so the
     longest solves do not start last and leave workers idle at the end.
-    The DPLL kernel is loaded here, before the pool forks, so every worker
-    inherits it instead of loading (or, with a cold cache, compiling) its
-    own."""
+    The compiled library is loaded here, before the pool forks, so every
+    worker inherits it instead of loading (or, with a cold cache, compiling)
+    its own."""
     native.load()
     usable = native.usable_cpus()
     workers = min(config.parallelism or usable, usable)

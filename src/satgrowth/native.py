@@ -1,24 +1,25 @@
-"""Build-on-first-use loaders for the compiled kernels.
+"""Build-on-first-use loader of the compiled kernels.
 
-Three C sources ship with the package: `dpll_kernel.c`, the DPLL layer's
-random streams (`load()`: the search loop, its batch of Monte Carlo leaf
-counts and the random instance generator, read through `solve()`,
-`leaf_counts()` and `generate()`), `annealed_kernel.c`, the annealed chain's
-shift-and-add passes (`load_annealed()`), and `oracle_kernel.c`, the exact
-oracle's closure walk (`load_oracle()`, read through `closure()`).  Each is compiled with the
-system gcc, the first time a process asks for it, into a per-user cache
-directory ($XDG_CACHE_HOME/satgrowth, else ~/.cache/satgrowth) under a name
-keyed by a hash of the source and the compile command, and loaded with
-ctypes.  gcc writes a temporary file in the cache directory that is then
+Three C sources ship with the package and build into one library:
+`dpll_kernel.c`, the DPLL layer's random streams (the search loop, its
+batch of Monte Carlo leaf counts and the random instance generator, read
+through `solve()`, `leaf_counts()` and `generate()`), `annealed_kernel.c`,
+the annealed chain's shift-and-add passes (bound as the library's
+`passes`), and `oracle_kernel.c`, the exact oracle's closure walk (read
+through `closure()`).  The first time a process calls load(), one gcc call compiles
+all three into a per-user cache directory ($XDG_CACHE_HOME/satgrowth, else
+~/.cache/satgrowth) under a name keyed by a hash of the three sources and
+the compile command; ctypes loads the library and load() binds every entry
+point.  gcc writes a temporary file in the cache directory that is then
 published with os.replace, so processes compiling at the same time never
-load a half-written library.  A build is never removed: each source version
-keeps its own small library, so checkouts of different sources can share one
-cache, and deleting the cache directory clears it.  load_annealed() binds
-the annealed kernel's AVX2 entry points when the CPU has AVX2, else its
-baseline ones, with the usable CPU count as the passes' thread count; all
-give the same bits.  When no compiler is found, the compile fails or the
-cache is not writable, the loader returns None after one warning per process
-and kernel, and the caller runs its Python reference code.
+load a half-written library.  A build is never removed: each version of the
+sources keeps its own small library, so checkouts of different sources can
+share one cache, and deleting the cache directory clears it.  The annealed
+passes are the AVX2 entry pair when the CPU has AVX2, else the baseline
+pair, on up to usable_cpus() threads; all give the same bits.  When no
+compiler is found, the compile fails or the cache is not writable, load()
+returns None after one warning per process that names every reference code
+path, and each layer runs its Python or numpy reference.
 
 usable_cpus() is the one count of the CPUs this process may run on: it
 sizes the annealed passes' threads and caps run_ensemble's process pool.
@@ -36,10 +37,13 @@ from array import array
 from pathlib import Path
 from typing import Callable, List, NamedTuple
 
-SOURCE = Path(__file__).with_name("dpll_kernel.c")
-ANNEALED_SOURCE = Path(__file__).with_name("annealed_kernel.c")
-ORACLE_SOURCE = Path(__file__).with_name("oracle_kernel.c")
+SOURCES = tuple(Path(__file__).with_name(name) for name in
+                ("dpll_kernel.c", "annealed_kernel.c", "oracle_kernel.c"))
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
+# what the layers run when load() returns None
+_REFERENCE_PATHS = ("the Python DPLL search, Monte Carlo and instance "
+                    "generator loops, the numpy annealed passes and the "
+                    "Python closure walk")
 
 HEURISTIC_CODES = {"UC": 0, "GUC": 1, "SC1": 2}
 # sg_solve and sg_leaf_counts return codes
@@ -62,73 +66,37 @@ def _compiler():
 
 
 def _cache_dir() -> Path:
-    """Where compiled kernels live; Path.home() raises RuntimeError when
+    """Where compiled libraries live; Path.home() raises RuntimeError when
     there is no home directory."""
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(Path.home(), ".cache")
     return Path(base) / "satgrowth"
 
 
-def _build(cc: str, source_path: Path) -> Path:
-    """Path of the compiled kernel, compiling it if the cache lacks it."""
-    source = source_path.read_bytes()
-    key = hashlib.blake2b(source + repr((os.path.basename(cc),) + CFLAGS).encode(),
-                          digest_size=8).hexdigest()
-    target = _cache_dir() / f"{source_path.stem}-{key}.so"
+def _library_path(cc: str) -> Path:
+    """Where the library that `cc` builds from SOURCES is cached: its name
+    is keyed by each source and by the compile command."""
+    parts = [repr((os.path.basename(cc),) + CFLAGS).encode()]
+    parts += [hashlib.blake2b(source.read_bytes()).digest() for source in SOURCES]
+    key = hashlib.blake2b(b"".join(parts), digest_size=8).hexdigest()
+    return _cache_dir() / f"kernels-{key}.so"
+
+
+def _build(cc: str) -> Path:
+    """Path of the compiled library, compiling it if the cache lacks it."""
+    target = _library_path(cc)
     if target.exists():
         return target
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{source_path.stem}-",
-                               suffix=".so")
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".kernels-", suffix=".so")
     os.close(fd)
     try:
-        subprocess.run([cc, *CFLAGS, "-o", tmp, str(source_path)], check=True,
+        subprocess.run([cc, *CFLAGS, "-o", tmp, *map(str, SOURCES)], check=True,
                        capture_output=True, text=True, timeout=300)
         os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
     return target
-
-
-def _open(source_path: Path, fallback: str):
-    """The kernel built from `source_path` as a ctypes library, or None after
-    a warning that names the `fallback` code path."""
-    cc = _compiler()
-    if cc is None:
-        return _fallback(fallback, "no C compiler (gcc) found")
-    try:
-        return ctypes.CDLL(str(_build(cc, source_path)))
-    except subprocess.CalledProcessError as exc:
-        return _fallback(fallback, f"compiling {source_path.name} failed: "
-                                   f"{exc.stderr.strip()}")
-    except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
-        return _fallback(fallback, f"cannot build or load {source_path.name}: {exc}")
-
-
-@functools.lru_cache(maxsize=None)
-def load():
-    """The loaded DPLL kernel library, or None when it cannot be built here."""
-    lib = _open(SOURCE, "the Python DPLL search, Monte Carlo and instance "
-                        "generator loops")
-    if lib is None:
-        return None
-    i32, ptr = ctypes.c_int32, ctypes.c_void_p
-    lib.sg_solve.argtypes = [
-        i32, i32, ptr, ptr, i32, ctypes.c_uint64, i32,
-        ctypes.POINTER(ctypes.c_int64), ctypes.c_char_p,
-        ctypes.POINTER(ctypes.POINTER(ctypes.c_int32))]
-    lib.sg_solve.restype = ctypes.c_int
-    lib.sg_leaf_counts.argtypes = [i32, i32, ptr, ptr, i32, i32, ptr, ptr]
-    lib.sg_leaf_counts.restype = ctypes.c_int
-    lib.sg_generate.argtypes = [i32, ctypes.c_int64, ctypes.c_int64, ptr, i32,
-                                ptr, ptr]
-    lib.sg_generate.restype = None
-    lib.sg_free.argtypes = [ctypes.c_void_p]
-    lib.sg_free.restype = None
-    lib.sg_random.argtypes = [ctypes.c_uint64, ctypes.c_int32,
-                              ctypes.POINTER(ctypes.c_double)]
-    lib.sg_random.restype = None
-    return lib
 
 
 class AnnealedPasses(NamedTuple):
@@ -141,8 +109,8 @@ class AnnealedPasses(NamedTuple):
 
 
 def _annealed_passes(lib, avx2: bool, threads: int) -> AnnealedPasses:
-    """The AVX2 or the baseline entry pair of the annealed kernel `lib`, run
-    on up to `threads` threads."""
+    """The AVX2 or the baseline entry pair of the annealed kernel in `lib`,
+    run on up to `threads` threads."""
     suffix = "_avx2" if avx2 else ""
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     thin = getattr(lib, "sg_thin" + suffix)
@@ -152,19 +120,6 @@ def _annealed_passes(lib, avx2: bool, threads: int) -> AnnealedPasses:
     convert.argtypes = [ptr, ptr, i64, i64, i64, i64, i64, ptr, i64, i64]
     convert.restype = None
     return AnnealedPasses(thin, convert, avx2, threads)
-
-
-@functools.lru_cache(maxsize=None)
-def load_annealed():
-    """The annealed-pass kernel's entry points (AnnealedPasses), the AVX2
-    pair when the CPU has AVX2, on up to usable_cpus() threads, or None when
-    the kernel cannot be built here."""
-    lib = _open(ANNEALED_SOURCE, "the numpy annealed passes")
-    if lib is None:
-        return None
-    lib.sg_has_avx2.argtypes = []
-    lib.sg_has_avx2.restype = ctypes.c_int
-    return _annealed_passes(lib, bool(lib.sg_has_avx2()), usable_cpus())
 
 
 class _Closure(ctypes.Structure):
@@ -179,24 +134,46 @@ class _Closure(ctypes.Structure):
 
 
 @functools.lru_cache(maxsize=None)
-def load_oracle():
-    """The loaded exact-oracle closure kernel, or None when it cannot be
-    built here."""
-    lib = _open(ORACLE_SOURCE, "the Python closure walk")
-    if lib is None:
-        return None
-    lib.sg_closure.argtypes = [ctypes.c_int32, ctypes.c_int32, ctypes.c_void_p,
-                               ctypes.c_void_p, ctypes.c_int32,
-                               ctypes.POINTER(_Closure)]
+def load():
+    """The compiled library, or None when it cannot be built here.  Every
+    sg_* entry point has its argument and return types bound, and the
+    library's `passes` is the annealed pass pair (AnnealedPasses) that this
+    process runs."""
+    cc = _compiler()
+    if cc is None:
+        return _fallback("no C compiler (gcc) found")
+    try:
+        lib = ctypes.CDLL(str(_build(cc)))
+    except subprocess.CalledProcessError as exc:
+        return _fallback(f"compiling the kernels failed: {exc.stderr.strip()}")
+    except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
+        return _fallback(f"cannot build or load the kernels: {exc}")
+    i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
+    lib.sg_solve.argtypes = [
+        i32, i32, ptr, ptr, i32, ctypes.c_uint64, i32, ctypes.POINTER(i64),
+        ctypes.c_char_p, ctypes.POINTER(ctypes.POINTER(i32))]
+    lib.sg_solve.restype = ctypes.c_int
+    lib.sg_leaf_counts.argtypes = [i32, i32, ptr, ptr, i32, i32, ptr, ptr]
+    lib.sg_leaf_counts.restype = ctypes.c_int
+    lib.sg_generate.argtypes = [i32, i64, i64, ptr, i32, ptr, ptr]
+    lib.sg_generate.restype = None
+    lib.sg_free.argtypes = [ptr]
+    lib.sg_free.restype = None
+    lib.sg_random.argtypes = [ctypes.c_uint64, i32, ctypes.POINTER(ctypes.c_double)]
+    lib.sg_random.restype = None
+    lib.sg_closure.argtypes = [i32, i32, ptr, ptr, i32, ctypes.POINTER(_Closure)]
     lib.sg_closure.restype = ctypes.c_int
     lib.sg_closure_free.argtypes = [ctypes.POINTER(_Closure)]
     lib.sg_closure_free.restype = None
+    lib.sg_has_avx2.argtypes = []
+    lib.sg_has_avx2.restype = ctypes.c_int
+    lib.passes = _annealed_passes(lib, bool(lib.sg_has_avx2()), usable_cpus())
     return lib
 
 
-def _fallback(code_path: str, reason: str):
-    warnings.warn(f"satgrowth: using {code_path}; {reason}",
-                  RuntimeWarning, stacklevel=4)
+def _fallback(reason: str):
+    warnings.warn(f"satgrowth: using {_REFERENCE_PATHS}; {reason}",
+                  RuntimeWarning, stacklevel=3)
     return None
 
 

@@ -16,7 +16,7 @@ the states seen, and lists the columns in the order it pops their states.
 Each popped state is classified from scratch with cnf.classify; a violating
 state gets the absorbing self-loop, any other the successors that
 _transitions gives under the heuristic.  The walk runs compiled, in
-oracle_kernel.c (native.load_oracle), which classifies over the instance's
+oracle_kernel.c (built by native.load()), which classifies over the instance's
 clause buffers as cnf.classify does and returns flat arrays; the build turns
 them into the columns, one Fraction per distinct weight.  Where the kernel
 cannot be built the same walk runs in Python, which is also the reference
@@ -151,11 +151,11 @@ def build_evolution_operator(instance: Instance, heuristic: str,
     collecting = gc.isenabled()
     gc.disable()
     try:
-        kernel = native.load_oracle()
-        if kernel is None:
+        lib = native.load()
+        if lib is None:
             return _python_closure(instance, heuristic)
         states, violating, offsets, succ, keys, wbase = native.closure(
-            kernel, n, instance.lits, instance.starts, heuristic)
+            lib, n, instance.lits, instance.starts, heuristic)
         weights = {key: Fraction(*divmod(key, wbase)) for key in set(keys)}
         entries = list(zip(succ, map(weights.__getitem__, keys)))
         columns = dict(zip(states, map(entries.__getitem__,

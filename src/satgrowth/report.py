@@ -10,6 +10,7 @@ prints from it computes it once.
 
 import csv
 import json
+import math
 import os
 from typing import Dict, Iterable, Optional, Sequence
 
@@ -39,27 +40,26 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> st
 
 
 def report_table1(out_path: str, omega_exp: Dict[float, OmegaEstimate],
-                  heuristic: str = GUC,
                   unsat_alphas: Sequence[float] = (4.3, 7.0, 10.0, 15.0, 20.0),
                   upper_sat_alpha: Optional[float] = 3.5,
                   g_point: Optional[GPoint] = None) -> str:
     """Experiment vs theory omega table: one row per start ratio with the
-    measured exponent (when ensemble estimates are supplied), the growth-PDE
-    prediction, and the large-ratio asymptote."""
+    measured exponent (when ensemble estimates are supplied), the GUC
+    growth-PDE prediction, and the large-ratio asymptote."""
     rows = []
     for a0 in unsat_alphas:
         est = omega_exp.get(a0)
         rows.append([a0,
                      None if est is None else est.omega,
                      None if est is None else est.std_error,
-                     growth.omega_theory(a0, heuristic),
+                     growth.omega_theory(a0, GUC),
                      growth.asymptotic_omega(a0)])
     if upper_sat_alpha is not None:
         est = omega_exp.get(upper_sat_alpha)
         if g_point is not None:
-            om = growth.omega_upper_sat_from_g(g_point, heuristic).omega_bits
+            om = growth.omega_upper_sat_from_g(g_point, GUC).omega_bits
         else:
-            om = growth.omega_upper_sat(upper_sat_alpha, heuristic).omega_bits
+            om = growth.omega_upper_sat(upper_sat_alpha, GUC).omega_bits
         rows.append([upper_sat_alpha,
                      None if est is None else est.omega,
                      None if est is None else est.std_error,
@@ -69,23 +69,23 @@ def report_table1(out_path: str, omega_exp: Dict[float, OmegaEstimate],
                        "asymptote"], rows)
 
 
-def report_phase_diagram(out_dir: str, heuristic: str = GUC,
+def report_phase_diagram(out_dir: str,
                          branch_alphas: Sequence[float] = (2.0, 2.8, 3.5),
                          tree_alphas: Sequence[float] = (4.3, 7.0, 10.0)
                          ) -> Dict[str, str]:
-    """Phase-diagram data: branch trajectories (sat side), tree trajectories
-    (dominant-branch densities in the unsat growth regime), the default
-    critical line, and the halt line."""
+    """Phase-diagram data under GUC: branch trajectories (sat side), tree
+    trajectories (dominant-branch densities in the unsat growth regime), the
+    default critical line, and the halt line."""
     os.makedirs(out_dir, exist_ok=True)
     line = CriticalLine()
     paths = {}
     rows = []
     for a0 in branch_alphas:
-        traj = trajectory.integrate_branch(a0, heuristic)
+        traj = trajectory.integrate_branch(a0, GUC)
         for pt in traj.phase_points():
             rows.append(["branch", a0, pt.t, pt.p, pt.alpha])
     for a0 in tree_alphas:
-        series = growth.solve_characteristics(a0, heuristic)
+        series = growth.solve_characteristics(a0, GUC)
         for smp in series.samples:
             rows.append(["tree", a0, smp.t, smp.p_star, smp.alpha_star])
     paths["trajectories"] = _write_csv(
@@ -101,12 +101,14 @@ def report_phase_diagram(out_dir: str, heuristic: str = GUC,
     return paths
 
 
-def report_cloud(out_path: str, alpha0: float, n_vars: int, seed: int,
-                 heuristic: str = GUC) -> str:
-    """Search-tree cloud of one solve: the (p, alpha, t) of every split node."""
+def report_cloud(out_path: str, alpha0: float, n_vars: int, seed: int) -> str:
+    """Search-tree cloud of one GUC solve: the (p, alpha, t) of every split
+    node."""
+    if not 0.0 < alpha0 < math.inf:
+        raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
     inst = generate_random_instance(n_vars, 0, int(round(alpha0 * n_vars)),
                                     derive_seed(seed, "gen"))
-    stats = dpll.solve(inst, heuristic, derive_seed(seed, "solve"))
+    stats = dpll.solve(inst, GUC, derive_seed(seed, "solve"))
     return _write_csv(out_path, ["p", "alpha", "t"],
                       [[pt.p, pt.alpha, pt.t] for pt in stats.cloud])
 
@@ -140,8 +142,7 @@ def report_growth_series(out_path: str, series: growth.GrowthSeries) -> str:
                        for s in series.samples])
 
 
-def report_branch_trajectory(out_path: str, alpha0: float,
-                             heuristic: str = GUC) -> str:
+def report_branch_trajectory(out_path: str, alpha0: float, heuristic: str) -> str:
     """Branch-trajectory CSV: (t, c2, c3, p, alpha, rho1) along the descent."""
     traj = trajectory.integrate_branch(alpha0, heuristic)
     rows = []
@@ -154,7 +155,7 @@ def report_branch_trajectory(out_path: str, alpha0: float,
 
 
 def write_run_record_json(out_path: str, stats: dpll.SolveStats,
-                          alpha0: Optional[float] = None) -> str:
+                          alpha0: Optional[float]) -> str:
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     with open(out_path, "w") as fh:
         json.dump(stats.to_record(alpha0), fh, indent=1, sort_keys=True)

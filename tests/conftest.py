@@ -1,11 +1,8 @@
-"""Fixtures that reach a layer's compiled kernel and its Python reference.
+"""Fixtures that reach the compiled kernels and the Python reference.
 
-A test module that uses them names its loader in a module-level LOADER, one
-of "load" (the DPLL search, its Monte Carlo batches and the instance
-generator), "load_oracle" (the closure walk) and "load_annealed" (the
-chain's passes).  The kernel runs when that loader returns a library and the
-reference code runs when it returns None, so every layer's tests reach the
-reference the same way: by patching the loader.
+Every layer runs its kernel when native.load() returns the compiled library
+and its reference code when it returns None, so the tests reach each
+layer's reference the same way: by patching that one function.
 """
 
 import contextlib
@@ -20,37 +17,33 @@ from satgrowth import native  # noqa: E402
 
 
 @pytest.fixture(scope="module")
-def kernel(request):
-    """The module's kernel library.  Without a C compiler the test skips;
-    with gcc present, a kernel that fails to build fails it."""
-    loader = request.module.LOADER
+def kernel():
+    """The compiled library.  Without a C compiler the test skips; with gcc
+    present, a library that fails to build fails it."""
     if native._compiler() is None:
-        pytest.skip(f"no C compiler (gcc) on PATH: native.{loader}() cannot "
-                    f"build its kernel")
-    lib = getattr(native, loader)()
-    assert lib is not None, f"gcc is present but native.{loader}() built nothing"
+        pytest.skip("no C compiler (gcc) on PATH: native.load() cannot build "
+                    "the kernels")
+    lib = native.load()
+    assert lib is not None, "gcc is present but native.load() built nothing"
     return lib
 
 
 @pytest.fixture
-def fresh_load(request, monkeypatch):
-    """The monkeypatch, with the module's loader rebuilt from scratch inside
-    the test and again after it."""
-    loader = getattr(native, request.module.LOADER)
-    loader.cache_clear()
+def fresh_load(monkeypatch):
+    """The monkeypatch, with native.load() rebuilt from scratch inside the
+    test and again after it."""
+    native.load.cache_clear()
     yield monkeypatch
-    loader.cache_clear()
+    native.load.cache_clear()
 
 
 @pytest.fixture
-def reference(request, monkeypatch):
-    """reference() is a context in which the module's loader returns None, so
-    the layer runs its Python reference code."""
-    loader = request.module.LOADER
-
+def reference(monkeypatch):
+    """reference() is a context in which native.load() returns None, so
+    every layer runs its Python reference code."""
     @contextlib.contextmanager
     def context():
         with monkeypatch.context() as m:
-            m.setattr(native, loader, lambda: None)
+            m.setattr(native, "load", lambda: None)
             yield
     return context

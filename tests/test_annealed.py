@@ -1,8 +1,8 @@
 """Annealed clause-vector chain: transition rows, the vectorized engine,
 golden mass curves, and the compiled passes against the numpy reference.
 
-The differential tests need gcc to build `annealed_kernel.c` and skip
-without it; with gcc present, a kernel that fails to build fails them.
+The differential tests need gcc to build the compiled library and skip
+without it; with gcc present, a library that fails to build fails them.
 """
 
 import contextlib
@@ -19,8 +19,6 @@ from satgrowth.annealed import (BranchCountField, annealed_omega_estimate,
                                 guc_transition_row, mass_curve)
 from satgrowth.cnf import ClauseVector
 from satgrowth.ensemble import EnsembleConfig, run_ensemble
-
-LOADER = "load_annealed"
 
 
 def _binom(n, k):
@@ -289,12 +287,11 @@ _THREADS = (1, 2, 3, 7)
 
 @pytest.fixture(scope="module")
 def entry_pairs(kernel):
-    """The kernel's entry pairs this CPU runs, on each of _THREADS threads:
+    """The annealed entry pairs this CPU runs, on each of _THREADS threads:
     the baseline pair, and the AVX2 pair when the CPU has AVX2."""
-    lib = native._open(native.ANNEALED_SOURCE, "the numpy annealed passes")
-    return {(isa, threads): native._annealed_passes(lib, isa == "avx2", threads)
-            for isa in (("baseline", "avx2") if kernel.avx2 else ("baseline",))
-            for threads in _THREADS}
+    isas = ("baseline", "avx2") if kernel.passes.avx2 else ("baseline",)
+    return {(isa, threads): native._annealed_passes(kernel, isa == "avx2", threads)
+            for isa in isas for threads in _THREADS}
 
 
 def test_kernel_chains_match_numpy(entry_pairs, monkeypatch, reference):
@@ -303,7 +300,7 @@ def test_kernel_chains_match_numpy(entry_pairs, monkeypatch, reference):
     compiled = {}
     for name, passes in entry_pairs.items():
         with monkeypatch.context() as m:
-            m.setattr(native, "load_annealed", lambda: passes)
+            m.setattr(native.load(), "passes", passes)
             compiled[name] = [_chain(a0, n, **kw) for a0, n, kw in _DIFF_CASES]
     for i, (a0, n, kw) in enumerate(_DIFF_CASES):
         with reference():
@@ -370,7 +367,7 @@ def test_kernel_passes_match_numpy(entry_pairs, monkeypatch, reference):
     compiled = {}
     for name, passes in entry_pairs.items():
         with monkeypatch.context() as m:
-            m.setattr(native, "load_annealed", lambda: passes)
+            m.setattr(native.load(), "passes", passes)
             outs = []
             for fn, arr, weights, axis, thread_cells, _, _ in cases:
                 m.setattr(annealed, "THREAD_CELLS", thread_cells)
@@ -400,8 +397,8 @@ def test_pass_threads_end_with_the_call(entry_pairs, monkeypatch):
     fn, arr, axis = _large_pass_cases()[0]
     weights = annealed._pass_weights(np.arange(arr.shape[axis], dtype=float),
                                      0.3, 1e-14)
-    monkeypatch.setattr(native, "load_annealed",
-                        lambda: entry_pairs[("baseline", max(_THREADS))])
+    monkeypatch.setattr(native.load(), "passes",
+                        entry_pairs[("baseline", max(_THREADS))])
     fn(arr, weights, axis)
     before = len(os.listdir(tasks))
     for _ in range(3):
@@ -484,7 +481,7 @@ def test_sliver_rows_match_transition_rows():
 
 def test_fallback_without_compiler(fresh_load):
     want = _chain(10.0, 30)
-    native.load_annealed.cache_clear()
+    native.load.cache_clear()
     fresh_load.setattr(native, "_compiler", lambda: None)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -154,6 +154,11 @@ def test_dimacs_rejects_long_clauses():
         read_dimacs(io.StringIO("p cnf 0 0\n"))
     with pytest.raises(ValueError, match="out of range"):
         read_dimacs(io.StringIO("p cnf 2 1\n1 -3 0\n"))
+    # literals must fit the kernels' int32: at most MAX_VARS variables
+    with pytest.raises(ValueError, match="at most"):
+        read_dimacs(io.StringIO("p cnf 4294967298 1\n5 0\n"))
+    with pytest.raises(ValueError, match="out of range"):
+        read_dimacs(io.StringIO("p cnf 3 1\n3000000000 0\n"))
 
 
 def test_clause_builder_validation():

@@ -9,8 +9,6 @@ from satgrowth.cnf import Instance, brute_force_satisfiable, clause, \
     generate_random_instance
 from satgrowth.dpll import CONTRADICTION, QUIESCENT, DpllSolver
 
-LOADER = "load"
-
 
 def test_i1_single_branch():
     for h in dpll.HEURISTICS:

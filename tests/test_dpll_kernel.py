@@ -21,8 +21,6 @@ from common import I1, I2, I3
 from satgrowth import dpll, native, oracle
 from satgrowth.cnf import MAX_VARS, generate_random_instance
 
-LOADER = "load"
-
 
 def _python_solve(solver, seed, reference, record_cloud=True):
     with reference():
@@ -214,11 +212,11 @@ def test_failed_builds_fall_back_with_one_warning(kernel, fresh_load, tmp_path):
     bad_source = tmp_path / "dpll_kernel.c"
     bad_source.write_text("this is not C\n")
     for attr, value, reason in (("XDG_CACHE_HOME", str(blocked), "cannot build"),
-                                ("SOURCE", bad_source, "compiling")):
+                                ("SOURCES", bad_source, "compiling")):
         native.load.cache_clear()
         with fresh_load.context() as m:
-            if attr == "SOURCE":
-                m.setattr(native, "SOURCE", value)
+            if attr == "SOURCES":
+                m.setattr(native, "SOURCES", (value, *native.SOURCES[1:]))
                 m.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
             else:
                 m.setenv(attr, value)
@@ -252,25 +250,24 @@ def test_concurrent_cold_cache_builds(kernel, tmp_path):
     assert [p.returncode for p in procs] == [0, 0, 0], [err for _, err in outs]
     assert len({out for out, _ in outs}) == 1
     names = [f.name for f in (tmp_path / "satgrowth").iterdir()]
-    assert len(names) == 1 and names[0].startswith("dpll_kernel-"), names
+    assert len(names) == 1 and names[0].startswith("kernels-"), names
 
 
 def test_rebuilds_keep_older_kernels(kernel, tmp_path, monkeypatch):
     # building an edited source publishes a library under a new name beside
-    # the build of the old source, so checkouts of different sources that
+    # the build of the old sources, so checkouts of different sources that
     # share one cache reuse their own builds instead of compiling again
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     cc = native._compiler()
-    edited = tmp_path / "edited"
-    edited.mkdir()
-    for source in (native.SOURCE, native.ANNEALED_SOURCE):
-        first = native._build(cc, source)
-        copy = edited / source.name
-        copy.write_bytes(source.read_bytes() + b"\n/* edited */\n")
-        second = native._build(cc, copy)
-        assert first != second and first.exists() and second.exists()
-        assert native._build(cc, source) == first
-        assert native._build(cc, copy) == second
+    sources = native.SOURCES
+    edited = tmp_path / sources[0].name
+    edited.write_bytes(sources[0].read_bytes() + b"\n/* edited */\n")
+    first = native._build(cc)
+    monkeypatch.setattr(native, "SOURCES", (edited, *sources[1:]))
+    second = native._build(cc)
+    assert first != second and first.exists() and second.exists()
+    assert native._build(cc) == second
+    monkeypatch.setattr(native, "SOURCES", sources)
+    assert native._build(cc) == first
     names = sorted(f.name for f in (tmp_path / "cache" / "satgrowth").iterdir())
-    kernels = [name.split("-")[0] for name in names]
-    assert kernels == ["annealed_kernel"] * 2 + ["dpll_kernel"] * 2, names
+    assert names == sorted([first.name, second.name]), names

@@ -9,8 +9,6 @@ from satgrowth.ensemble import (EnsembleConfig, GMeasurement, RunRecord,
                                 measure_g_point, read_records_csv,
                                 run_ensemble, write_records_csv)
 
-LOADER = "load"
-
 
 def _strip_runtime(records):
     return [(r.n_vars, r.trial, r.seed, r.result, r.q_splits, r.b_leaves,
@@ -32,6 +30,9 @@ def test_config_validation():
         EnsembleConfig(4.3, [20], 5, heuristic="nope")
     with pytest.raises(ValueError):
         EnsembleConfig(4.3, [20], 5, parallelism=0)
+    for alpha0 in (0.0, -3.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="alpha0 must be positive"):
+            EnsembleConfig(alpha0, [20], 5)
 
 
 def test_worker_count_independent():

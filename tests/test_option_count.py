@@ -10,7 +10,7 @@ from pathlib import Path
 
 import satgrowth
 
-OPTION_CAP = 62
+OPTION_CAP = 56
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

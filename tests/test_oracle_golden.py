@@ -22,7 +22,6 @@ from satgrowth.cnf import (brute_force_satisfiable, classify,
                            generate_random_instance)
 
 GOLDEN_PATH = Path(__file__).with_name("oracle_golden.json")
-LOADER = "load_oracle"
 
 # (2-clause ratio, 3-clause ratio) per instance at each N: sat and unsat,
 # pure 3-SAT and 2+p mixtures

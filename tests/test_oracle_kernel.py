@@ -17,8 +17,6 @@ from common import I1, I2, I3, REPEATED
 from satgrowth import dpll, native, oracle
 from satgrowth.cnf import Instance, clause, generate_random_instance
 
-LOADER = "load_oracle"
-
 
 def _python_build(inst, heuristic, reference):
     with reference():
@@ -68,7 +66,7 @@ def test_edge_instances_match(kernel, reference):
 def test_fallback_without_compiler(kernel, fresh_load):
     inst = generate_random_instance(8, 2, 40, 42000)
     compiled = [oracle.build_evolution_operator(inst, h) for h in dpll.HEURISTICS]
-    native.load_oracle.cache_clear()
+    native.load.cache_clear()
     fresh_load.setattr(native, "_compiler", lambda: None)
     walks = []
     python_closure = oracle._python_closure
@@ -87,7 +85,7 @@ def test_fallback_without_compiler(kernel, fresh_load):
 def test_inputs_checked_before_the_kernel(monkeypatch):
     def no_kernel():
         raise AssertionError("a rejected input must not reach the kernel")
-    monkeypatch.setattr(native, "load_oracle", no_kernel)
+    monkeypatch.setattr(native, "load", no_kernel)
     with pytest.raises(ValueError, match="unknown heuristic"):
         oracle.build_evolution_operator(I3, "guc")
     with pytest.raises(ValueError, match="exceeds the operator cap"):

@@ -90,9 +90,11 @@ def test_cli_oracle(tmp_path, capsys, monkeypatch):
 def test_cli_error_exit(tmp_path, capsys):
     assert cli.main(["oracle", "/nonexistent/file.cnf"]) == 1
     assert "error:" in capsys.readouterr().err
-    # DIMACS headers that the file contradicts, or that declare no variables
+    # DIMACS headers that the file contradicts, that declare no variables,
+    # or more than the kernels' int32 literals hold
     for name, text in (("short.cnf", "p cnf 3 5\n1 -2 3 0\n"),
-                       ("empty.cnf", "p cnf 0 0\n")):
+                       ("empty.cnf", "p cnf 0 0\n"),
+                       ("huge.cnf", "p cnf 4294967298 1\n5 0\n")):
         path = tmp_path / name
         path.write_text(text)
         assert cli.main(["solve", str(path)]) == 1
@@ -109,6 +111,22 @@ def test_cli_error_exit(tmp_path, capsys):
         assert cli.main(["annealed", "--alpha0", alpha0, "--n-vars", "30"]) == 1
         captured = capsys.readouterr()
         assert "error:" in captured.err and "Traceback" not in captured.err, alpha0
+    # an ensemble or a cloud needs a positive, finite alpha0, from a flag or
+    # from a config file
+    config = tmp_path / "inf.cfg"
+    config.write_text("schema_version = 1\nalpha0 = inf\nn_values = 10\n")
+    cloud = str(tmp_path / "cloud.csv")
+    for argv in (["ensemble", "--alpha0", "inf", "--n-values", "10"],
+                 ["ensemble", "--alpha0", "-3", "--n-values", "10"],
+                 ["ensemble", "--alpha0", "nan", "--n-values", "10"],
+                 ["ensemble", "--config", str(config)],
+                 ["report", "cloud", "--out", cloud, "--alpha0", "inf"],
+                 ["report", "cloud", "--out", cloud, "--alpha0", "-3"]):
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert "error: alpha0 must be positive and finite" in captured.err, argv
+        assert captured.out == "", argv
+    assert not os.path.exists(cloud)
     # growth PDE inputs: --alpha0 missing or not positive without --g, and
     # G points off the phase diagram (p outside [0, 1], alpha <= 0, t
     # outside [0, 1)) for pde and for the Table 1 upper-sat row
