@@ -61,7 +61,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from . import native
-from .cnf import ClauseVector
+from .cnf import ClauseVector, check_alpha0
 
 _LGF_CACHE = np.zeros(1)
 
@@ -432,8 +432,7 @@ def evolve_branch_counts(alpha0: float, N: int,
     """
     if N < 6:
         raise ValueError(f"the annealed chain needs N >= 6 variables, got {N}")
-    if not 0.0 < alpha0 < math.inf:
-        raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
+    check_alpha0(alpha0)
     if not 0.0 <= pruning_threshold < 1.0:
         raise ValueError(f"pruning threshold must lie in [0, 1), got {pruning_threshold}")
     if not 0.0 < tail < 1.0:

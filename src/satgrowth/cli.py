@@ -189,8 +189,9 @@ def cmd_pde(args) -> int:
         print(f"omega_upper = {res.omega_bits:.5f} bits "
               f"(omega_G = {res.omega_g_bits:.5f}, halted = {res.halted})")
         return 0
-    if args.alpha0 is None or not 0.0 < args.alpha0 < math.inf:
-        raise ValueError("--alpha0 > 0 required unless --g")
+    if args.alpha0 is None:
+        raise ValueError("--alpha0 required unless --g")
+    cnf.check_alpha0(args.alpha0)
     if args.upper_sat:
         res = growth.omega_upper_sat(args.alpha0, args.heuristic,
                                      _critical_line(args))

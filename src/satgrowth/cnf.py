@@ -12,6 +12,7 @@ solver's incremental bookkeeping must match.
 """
 
 import io
+import math
 import operator
 import random
 from array import array
@@ -149,6 +150,13 @@ def clause_vector(instance: Instance, marks: Sequence[int]) -> ClauseVector:
     for free in undet:
         counts[len(free)] += 1
     return ClauseVector(counts[1], counts[2], counts[3])
+
+
+def check_alpha0(alpha0: float) -> None:
+    """Raise ValueError unless the clause ratio `alpha0` of a random 3-SAT
+    start is positive and finite."""
+    if not 0.0 < alpha0 < math.inf:
+        raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
 
 
 def generate_random_instance(n_vars: int, n_2clauses: int, n_3clauses: int,

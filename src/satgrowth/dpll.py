@@ -17,10 +17,12 @@ node reached back by backtracking).
 (`dpll_kernel.c`, built on first use by `native`) that reproduces this
 module's bookkeeping and random draws bit for bit; it reads the instance's
 packed-literal buffers as they are and checks a sat assignment against every
-clause.  `DpllSolver.leaf_counts` runs a batch of cloud-free searches, one
-per seed, in one kernel call per LEAF_BATCH seeds.  The Python loop below is
-the reference: it runs when the kernel cannot be built here, and builds its
-clause and occurrence lists on first use.
+clause.  The kernel has one search entry point, `native.search`, which runs
+one search per seed: `solve` calls it with one seed, and
+`DpllSolver.leaf_counts` with LEAF_BATCH seeds at a time, reading only the
+b_leaves of each search's row.  The Python loop below is the reference: it
+runs when the kernel cannot be built here, and builds its clause and
+occurrence lists on first use.
 """
 
 import hashlib
@@ -45,7 +47,7 @@ GUC = "GUC"
 SC1 = "SC1"
 HEURISTICS = (UC, GUC, SC1)
 
-LEAF_BATCH = 1024  # the most seeds one kernel call of leaf_counts takes
+LEAF_BATCH = 1024  # the most seeds leaf_counts passes to one kernel call
 
 QUIESCENT = "quiescent"
 CONTRADICTION = "contradiction"
@@ -63,12 +65,18 @@ class PhasePoint(NamedTuple):
     t: float      # fraction of assigned variables
 
 
-def _phase_point(n_vars: int, n_assigned: int, c2: int, c3: int) -> PhasePoint:
+def phase_coords(c2: float, c3: float, free: float, t: float) -> PhasePoint:
+    """The (p, alpha) change of variables: p = c3/(c2+c3) and
+    alpha = (c2+c3)/free, at assigned fraction t.  The solver passes clause
+    counts and n - assigned, trajectory.to_phase_coords densities and 1 - t."""
     total = c2 + c3
-    if total == 0:
+    if total <= 0:
         raise ValueError("phase point undefined without undetermined clauses")
-    return PhasePoint(c3 / total, total / (n_vars - n_assigned),
-                      n_assigned / n_vars)
+    return PhasePoint(c3 / total, total / free, t)
+
+
+def _phase_point(n_vars: int, n_assigned: int, c2: int, c3: int) -> PhasePoint:
+    return phase_coords(c2, c3, n_vars - n_assigned, n_assigned / n_vars)
 
 
 @dataclass
@@ -394,19 +402,20 @@ class DpllSolver:
         lits, starts = self.instance.lits, self.instance.starts
         seeds = iter(seeds)
         while batch := [_mix_seed(s) for s in islice(seeds, LEAF_BATCH)]:
-            yield from native.leaf_counts(lib, self.n, lits, starts,
-                                          self.heuristic, batch)
+            rows, _, _ = native.search(lib, self.n, lits, starts, self.heuristic,
+                                       batch, False)
+            yield from rows[2::6]
 
     def _solve_compiled(self, lib, seed: int, record_cloud: bool) -> SolveStats:
         # the kernel has checked a sat assignment against every clause
-        sat, q_splits, b_leaves, g, cloud, values = native.solve(
+        (sat, q_splits, b_leaves, *g), values, cloud = native.search(
             lib, self.n, self.instance.lits, self.instance.starts, self.heuristic,
-            _mix_seed(seed), record_cloud)
+            [_mix_seed(seed)], record_cloud)
         assignment = [v == 1 for v in values] if sat else None
         return SolveStats(result="sat" if sat else "unsat", q_splits=q_splits,
                           b_leaves=b_leaves,
                           cloud=[_phase_point(self.n, *pt) for pt in cloud],
-                          g_node=None if g is None else _phase_point(self.n, *g),
+                          g_node=_phase_point(self.n, *g) if g[0] >= 0 else None,
                           seed=seed, heuristic=self.heuristic, n_vars=self.n,
                           assignment=assignment)
 

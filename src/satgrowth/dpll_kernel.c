@@ -1,6 +1,12 @@
 /* Compiled random streams of satgrowth's DPLL layer: the search loop of
- * dpll.DpllSolver.solve, its batch form for Monte Carlo leaf counts, and
- * the instance draw of cnf.generate_random_instance.
+ * dpll.DpllSolver.solve and the instance draw of
+ * cnf.generate_random_instance.
+ *
+ * sg_search is the one search entry point.  It builds the occurrence lists
+ * once and runs one search per seed, so a single solve is a batch of one
+ * seed and a Monte Carlo run is a batch of many.  Each search writes one
+ * six-value row (result, counters, g-node), its sat assignment and, when
+ * asked, its split-node cloud; a new per-search output goes into that row.
  *
  * Every step mirrors the Python reference: the search keeps dpll.py's
  * live-clause pools with the same swap-remove order, the same free-variable
@@ -495,62 +501,41 @@ static int search(solver *s, frame *frames, int heuristic, int64_t *out,
     return SG_OK;
 }
 
-/* One search of the instance.
+/* One search per seed, over one set of occurrence lists.
  *
  * n, m:         variables and clauses; clause c holds the packed literals
  *               lits[start[c] .. start[c+1]), 1 to 3 of them
  * heuristic:    0 UC, 1 GUC, 2 SC1
- * seed:         the already mixed 64-bit seed of random.Random
- * out:          as search() fills it
- * assignment:   n bytes, set to the final values when the result is sat
- * cloud:        with record_cloud, receives q_splits (assigned, C2, C3)
- *               triples in a buffer the caller releases with sg_free
+ * count, seeds: the already mixed 64-bit seeds of random.Random
+ * out:          6 * count values, row i as search() fills it for seeds[i]
+ * assignments:  n * count bytes; a sat search i sets assignments[n*i ..
+ *               n*i + n) to its final values, other bytes stay as they are
+ * cloud:        NULL, or set to a buffer the caller releases with sg_free:
+ *               every search's q_splits (assigned, C2, C3) triples, back
+ *               to back in seed order
  *
- * Returns 0, or a negative SG_ code. */
-int sg_solve(int32_t n, int32_t m, const int32_t *lits, const int32_t *start,
-             int32_t heuristic, uint64_t seed, int32_t record_cloud,
-             int64_t *out, uint8_t *assignment, int32_t **cloud)
+ * Returns 0, or the first negative SG_ code, which leaves *cloud NULL. */
+int sg_search(int32_t n, int32_t m, const int32_t *lits, const int32_t *start,
+              int32_t heuristic, int32_t count, const uint64_t *seeds,
+              int64_t *out, uint8_t *assignments, int32_t **cloud)
 {
     solver s;
     frame *frames = setup(&s, n, m, lits, start, heuristic);
     cloud_buf points = {NULL, 0, 0};
-    int rc = SG_NOMEM;
-
-    *cloud = NULL;
-    if (frames) {
-        reset(&s, seed);
-        rc = search(&s, frames, heuristic, out, record_cloud ? &points : NULL);
-    }
-    if (rc == SG_OK && out[0])
-        memcpy(assignment, s.values, (size_t)n);
-    free(s.occ_start);
-    if (rc != SG_OK) {
-        free(points.pts);
-        return rc;
-    }
-    *cloud = points.pts;
-    return SG_OK;
-}
-
-/* One cloud-free search per seed, over one set of occurrence lists: the
- * instance and heuristic as for sg_solve, `count` already mixed seeds, and
- * b_leaves[i] set to the leaves of the search with seeds[i].  Returns 0, or
- * the first negative SG_ code. */
-int sg_leaf_counts(int32_t n, int32_t m, const int32_t *lits, const int32_t *start,
-                   int32_t heuristic, int32_t count, const uint64_t *seeds,
-                   int64_t *b_leaves)
-{
-    solver s;
-    frame *frames = setup(&s, n, m, lits, start, heuristic);
-    int64_t out[6] = {0};
     int rc = frames ? SG_OK : SG_NOMEM;
 
     for (int32_t i = 0; rc == SG_OK && i < count; i++) {
+        int64_t *row = out + 6 * (int64_t)i;
         reset(&s, seeds[i]);
-        rc = search(&s, frames, heuristic, out, NULL);
-        b_leaves[i] = out[2];
+        rc = search(&s, frames, heuristic, row, cloud ? &points : NULL);
+        if (rc == SG_OK && row[0])
+            memcpy(assignments + (size_t)n * i, s.values, (size_t)n);
     }
     free(s.occ_start);
+    if (rc != SG_OK)
+        free(points.pts);
+    if (cloud)
+        *cloud = rc == SG_OK ? points.pts : NULL;
     return rc;
 }
 

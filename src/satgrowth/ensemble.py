@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import dpll, native
-from .cnf import generate_random_instance
+from .cnf import check_alpha0, generate_random_instance
 from .dpll import GUC, check_heuristic
 from .trajectory import GPoint
 
@@ -35,8 +35,7 @@ class EnsembleConfig:
     parallelism: Optional[int] = None   # worker processes; None: usable CPUs
 
     def __post_init__(self):
-        if not 0.0 < self.alpha0 < math.inf:
-            raise ValueError(f"alpha0 must be positive and finite, got {self.alpha0}")
+        check_alpha0(self.alpha0)
         self.n_values = tuple(int(n) for n in self.n_values)
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
             raise ValueError("n_values must be strictly increasing")

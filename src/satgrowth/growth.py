@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
+from .cnf import check_alpha0
 from .dpll import GUC, UC
 from .numerics import IntegrationError, integrate_ode
 from .trajectory import (CriticalLine, DensityState, GPoint, find_g,
@@ -364,7 +365,12 @@ def legendre_surface(alpha0: float, heuristic: str, t: float,
     sample at its endpoint: densities c = q(t) and height
     omega = phi - y(t) . q(t) (the Legendre transform at its stationary
     point).  Samples are rasterized onto a (p, alpha) grid keeping cell maxima.
+    Raises ValueError, before any characteristic is launched, unless alpha0
+    is positive and finite and 0 <= t < 1.
     """
+    check_alpha0(alpha0)
+    if not 0.0 <= t < 1.0:
+        raise ValueError(f"t must lie in [0, 1), got {t}")
     shooter = _Shooter(heuristic, 0.0, alpha0, Controls())
     raw = []
     for i in range(n_fan):

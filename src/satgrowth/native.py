@@ -1,9 +1,9 @@
 """Build-on-first-use loader of the compiled kernels.
 
 Three C sources ship with the package and build into one library:
-`dpll_kernel.c`, the DPLL layer's random streams (the search loop, its
-batch of Monte Carlo leaf counts and the random instance generator, read
-through `solve()`, `leaf_counts()` and `generate()`), `annealed_kernel.c`,
+`dpll_kernel.c`, the DPLL layer's random streams (the search loop, run
+once per seed of a batch through `search()`, and the random instance
+generator, read through `generate()`), `annealed_kernel.c`,
 the annealed chain's shift-and-add passes (bound as the library's
 `passes`), and `oracle_kernel.c`, the exact oracle's closure walk (read
 through `closure()`).  The first time a process calls load(), one gcc call compiles
@@ -46,7 +46,7 @@ _REFERENCE_PATHS = ("the Python DPLL search, Monte Carlo and instance "
                     "Python closure walk")
 
 HEURISTIC_CODES = {"UC": 0, "GUC": 1, "SC1": 2}
-# sg_solve and sg_leaf_counts return codes
+# sg_search return codes
 _ERRORS = {-1: (MemoryError, "DPLL kernel out of memory"),
            -2: (AssertionError, "unit clause without a free literal"),
            -3: (AssertionError, "solver produced a non-satisfying assignment")}
@@ -149,12 +149,9 @@ def load():
     except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
         return _fallback(f"cannot build or load the kernels: {exc}")
     i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
-    lib.sg_solve.argtypes = [
-        i32, i32, ptr, ptr, i32, ctypes.c_uint64, i32, ctypes.POINTER(i64),
-        ctypes.c_char_p, ctypes.POINTER(ctypes.POINTER(i32))]
-    lib.sg_solve.restype = ctypes.c_int
-    lib.sg_leaf_counts.argtypes = [i32, i32, ptr, ptr, i32, i32, ptr, ptr]
-    lib.sg_leaf_counts.restype = ctypes.c_int
+    lib.sg_search.argtypes = [i32, i32, ptr, ptr, i32, i32, ptr, ptr,
+                              ctypes.c_char_p, ctypes.POINTER(ctypes.POINTER(i32))]
+    lib.sg_search.restype = ctypes.c_int
     lib.sg_generate.argtypes = [i32, i64, i64, ptr, i32, ptr, ptr]
     lib.sg_generate.restype = None
     lib.sg_free.argtypes = [ptr]
@@ -184,41 +181,31 @@ def _check(rc: int) -> None:
         raise exc_type(message)
 
 
-def solve(lib, n_vars: int, lits, start, heuristic: str, mixed_seed: int,
-          record_cloud: bool):
-    """One kernel search.  `lits` and `start` are array('i') buffers of the
-    packed literals and the m + 1 clause offsets; returns (sat, q_splits,
-    b_leaves, g, cloud, assignment) with g and the cloud entries as
-    (assigned, C2, C3) triples, g None without a g-node, and assignment the
-    n_vars value bytes of a sat result."""
-    out = (ctypes.c_int64 * 6)()
-    assignment = ctypes.create_string_buffer(n_vars)
+def search(lib, n_vars: int, lits, start, heuristic: str, mixed_seeds: List[int],
+           record_cloud: bool):
+    """One kernel search per already mixed seed, in one call.  `lits` and
+    `start` are array('i') buffers of the packed literals and the m + 1
+    clause offsets.  Returns (rows, assignments, cloud): rows is an
+    array('q') of six values per seed, (sat, q_splits, b_leaves) and the
+    g-node's (assigned, C2, C3) with assigned -1 without a g-node;
+    assignments holds n_vars value bytes per seed, set where the search is
+    sat and zero elsewhere; cloud lists every search's split-node
+    (assigned, C2, C3) triples in seed order, or nothing without
+    record_cloud."""
+    seeds = array("Q", mixed_seeds)
+    rows = array("q", bytes(48 * len(seeds)))
+    assignments = ctypes.create_string_buffer(n_vars * len(seeds))
     cloud = ctypes.POINTER(ctypes.c_int32)()
-    rc = lib.sg_solve(n_vars, len(start) - 1, lits.buffer_info()[0],
-                      start.buffer_info()[0], HEURISTIC_CODES[heuristic],
-                      mixed_seed, record_cloud, out, assignment, ctypes.byref(cloud))
-    _check(rc)
-    sat, q_splits, b_leaves, *g = out
+    _check(lib.sg_search(n_vars, len(start) - 1, lits.buffer_info()[0],
+                         start.buffer_info()[0], HEURISTIC_CODES[heuristic],
+                         len(seeds), seeds.buffer_info()[0], rows.buffer_info()[0],
+                         assignments, ctypes.byref(cloud) if record_cloud else None))
     triples = []
     if cloud:
-        flat = cloud[:3 * q_splits]
+        flat = cloud[:3 * sum(rows[1::6])]
         lib.sg_free(cloud)
-        triples = [tuple(flat[i:i + 3]) for i in range(0, len(flat), 3)]
-    return (bool(sat), q_splits, b_leaves, tuple(g) if g[0] >= 0 else None,
-            triples, assignment.raw if sat else None)
-
-
-def leaf_counts(lib, n_vars: int, lits, start, heuristic: str,
-                mixed_seeds: List[int]) -> List[int]:
-    """b_leaves of one cloud-free kernel search per already mixed seed, in
-    one call; `lits` and `start` as for solve."""
-    seeds = array("Q", mixed_seeds)
-    counts = array("q", bytes(8 * len(seeds)))
-    _check(lib.sg_leaf_counts(n_vars, len(start) - 1, lits.buffer_info()[0],
-                              start.buffer_info()[0], HEURISTIC_CODES[heuristic],
-                              len(seeds), seeds.buffer_info()[0],
-                              counts.buffer_info()[0]))
-    return counts.tolist()
+        triples = list(zip(flat[0::3], flat[1::3], flat[2::3]))
+    return rows, assignments.raw, triples
 
 
 def generate(lib, n_vars: int, n_2clauses: int, n_3clauses: int, seed: int):

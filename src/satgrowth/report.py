@@ -10,12 +10,11 @@ prints from it computes it once.
 
 import csv
 import json
-import math
 import os
 from typing import Dict, Iterable, Optional, Sequence
 
 from . import annealed, dpll, growth, trajectory
-from .cnf import generate_random_instance
+from .cnf import check_alpha0, generate_random_instance
 from .dpll import GUC
 from .ensemble import OmegaEstimate, derive_seed
 from .trajectory import CriticalLine, GPoint
@@ -104,8 +103,7 @@ def report_phase_diagram(out_dir: str,
 def report_cloud(out_path: str, alpha0: float, n_vars: int, seed: int) -> str:
     """Search-tree cloud of one GUC solve: the (p, alpha, t) of every split
     node."""
-    if not 0.0 < alpha0 < math.inf:
-        raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
+    check_alpha0(alpha0)
     inst = generate_random_instance(n_vars, 0, int(round(alpha0 * n_vars)),
                                     derive_seed(seed, "gen"))
     stats = dpll.solve(inst, GUC, derive_seed(seed, "solve"))

@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .dpll import GUC, SC1, UC, PhasePoint, check_heuristic
+from .cnf import check_alpha0
+from .dpll import GUC, SC1, UC, PhasePoint, check_heuristic, phase_coords
 from .numerics import bessel_i0e, bessel_i1e, bisect_root, hermite_eval, integrate_ode
 
 
@@ -77,10 +78,7 @@ def rho1(state: DensityState) -> float:
 
 def to_phase_coords(state: DensityState) -> PhasePoint:
     """The (p, alpha) change of variables; undefined without clauses."""
-    total = state.c2 + state.c3
-    if total <= 0:
-        raise ValueError("phase coordinates undefined at c2 + c3 = 0")
-    return PhasePoint(state.c3 / total, total / (1.0 - state.t), state.t)
+    return phase_coords(state.c2, state.c3, 1.0 - state.t, state.t)
 
 
 @dataclass
@@ -120,8 +118,7 @@ def integrate_branch(alpha0: float, heuristic: str,
     """Adaptive integration from (t=0, c2=0, c3=alpha0) until the clauses are
     exhausted, rho1 crosses 0, or c2 leaves the physical range; steps are at
     most `max_step` in s = -ln(1-t)."""
-    if alpha0 <= 0:
-        raise ValueError("alpha0 must be positive")
+    check_alpha0(alpha0)
     if heuristic == GUC and alpha0 <= 2 / 3:
         raise UnsupportedDomainError("GUC branch ODEs need alpha0 > 2/3")
     check_heuristic(heuristic)

@@ -3,8 +3,10 @@
 The kernel must reproduce the reference search bit for bit: equal SolveStats
 (result, counters, cloud, g-node, assignment) on every (instance, seed)
 pair, equal leaf counts from a batch of searches, and equal generated
-instances.  Without a C compiler the comparison cannot run and the module
-skips; with one, a kernel that fails to build fails the tests.
+instances.  One kernel search call over many seeds must give each seed what
+a call with that seed alone gives.  Without a C compiler the comparison
+cannot run and the module skips; with one, a kernel that fails to build
+fails the tests.
 """
 
 import contextlib
@@ -112,21 +114,47 @@ def test_leaf_counts_match_solves(kernel, reference):
 def test_leaf_counts_batches(kernel, monkeypatch):
     # one kernel call per LEAF_BATCH seeds, across the batch edges
     calls = []
-    leaf_counts = native.leaf_counts
+    search = native.search
 
-    def spy(lib, n_vars, lits, start, heuristic, mixed_seeds):
+    def spy(lib, n_vars, lits, start, heuristic, mixed_seeds, record_cloud):
         calls.append(len(mixed_seeds))
-        return leaf_counts(lib, n_vars, lits, start, heuristic, mixed_seeds)
-    monkeypatch.setattr(native, "leaf_counts", spy)
+        return search(lib, n_vars, lits, start, heuristic, mixed_seeds, record_cloud)
+    monkeypatch.setattr(native, "search", spy)
     inst = generate_random_instance(9, 2, 40, 39000)
     batch = dpll.LEAF_BATCH
     for h in dpll.HEURISTICS:
         solver = dpll.DpllSolver(inst, h)
         for count in (0, 1, batch - 1, batch, batch + 1):
-            calls.clear()
             seeds = [7 * k + count for k in range(count)]
-            assert list(solver.leaf_counts(seeds)) == _solves(solver, seeds)
+            want = _solves(solver, seeds)  # one search call per seed
+            calls.clear()
+            assert list(solver.leaf_counts(seeds)) == want
             assert calls == [batch] * (count // batch) + [count % batch] * (count % batch > 0)
+
+
+def test_search_batch_rows_match_single_seed_calls(kernel):
+    # one call over many seeds gives each seed the row, the assignment bytes
+    # and the cloud triples of a call with that seed alone
+    instances = [I1, I2, I3] + [generate_random_instance(n, 2, 4 * n, 39200 + n)
+                                for n in (6, 9, 12, 20)]
+    seeds = [dpll._mix_seed(s) for s in range(24)]
+    results = set()
+    for inst in instances:
+        for h in dpll.HEURISTICS:
+            args = (kernel, inst.n_vars, inst.lits, inst.starts, h)
+            rows, values, cloud = native.search(*args, seeds, True)
+            n = inst.n_vars
+            assert len(rows) == 6 * len(seeds) and len(values) == n * len(seeds)
+            offset = 0
+            for i, seed in enumerate(seeds):
+                row, value, points = native.search(*args, [seed], True)
+                assert rows[6 * i:6 * i + 6] == row, (inst, h, i)
+                assert values[n * i:n * i + n] == value, (inst, h, i)
+                assert cloud[offset:offset + row[1]] == points, (inst, h, i)
+                offset += row[1]
+                results.add(row[0])
+            assert offset == len(cloud)
+    assert results == {0, 1}
 
 
 def test_unsatisfying_assignment_raises():

@@ -111,22 +111,34 @@ def test_cli_error_exit(tmp_path, capsys):
         assert cli.main(["annealed", "--alpha0", alpha0, "--n-vars", "30"]) == 1
         captured = capsys.readouterr()
         assert "error:" in captured.err and "Traceback" not in captured.err, alpha0
-    # an ensemble or a cloud needs a positive, finite alpha0, from a flag or
-    # from a config file
+    # an ensemble, a cloud, a surface or a branch trajectory needs a
+    # positive, finite alpha0, from a flag or from a config file
     config = tmp_path / "inf.cfg"
     config.write_text("schema_version = 1\nalpha0 = inf\nn_values = 10\n")
     cloud = str(tmp_path / "cloud.csv")
+    surface = str(tmp_path / "surface.csv")
+    branch = str(tmp_path / "trajectory.csv")
     for argv in (["ensemble", "--alpha0", "inf", "--n-values", "10"],
                  ["ensemble", "--alpha0", "-3", "--n-values", "10"],
                  ["ensemble", "--alpha0", "nan", "--n-values", "10"],
                  ["ensemble", "--config", str(config)],
                  ["report", "cloud", "--out", cloud, "--alpha0", "inf"],
-                 ["report", "cloud", "--out", cloud, "--alpha0", "-3"]):
+                 ["report", "cloud", "--out", cloud, "--alpha0", "-3"],
+                 ["report", "surface", "--out", surface, "--alpha0", "inf"],
+                 ["report", "surface", "--out", surface, "--alpha0", "-3"],
+                 ["ode", "--out", branch, "--alpha0", "inf"],
+                 ["ode", "--out", branch, "--alpha0", "nan"]):
         assert cli.main(argv) == 1, argv
         captured = capsys.readouterr()
         assert "error: alpha0 must be positive and finite" in captured.err, argv
         assert captured.out == "", argv
-    assert not os.path.exists(cloud)
+    # a surface needs a time in [0, 1)
+    for t in ("nan", "inf", "-0.1"):
+        assert cli.main(["report", "surface", "--out", surface, "--t", t]) == 1, t
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == "", t
+    for path in (cloud, surface, branch):
+        assert not os.path.exists(path), path
     # growth PDE inputs: --alpha0 missing or not positive without --g, and
     # G points off the phase diagram (p outside [0, 1], alpha <= 0, t
     # outside [0, 1)) for pde and for the Table 1 upper-sat row
