@@ -75,8 +75,9 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = cnf.read_dimacs(args.cnf)
+    # the cloud goes only into the --json record
     stats = dpll.solve(inst, args.heuristic, args.seed,
-                       record_cloud=not args.no_cloud)
+                       record_cloud=bool(args.json) and not args.no_cloud)
     alpha0 = inst.n_clauses / inst.n_vars
     rec = stats.to_record(alpha0)
     if args.json:

@@ -223,14 +223,23 @@ def generate(lib, n_vars: int, n_2clauses: int, n_3clauses: int, seed: int):
     return lits, starts
 
 
+def _int64s(ptr, n: int) -> array:
+    """An array('q') copy of the n int64 values at ptr."""
+    out = array("q", [0]) * n
+    if n:
+        ctypes.memmove(out.buffer_info()[0], ptr, 8 * n)
+    return out
+
+
 def closure(lib, n_vars: int, lits, start, heuristic: str):
     """The forward closure of the all-undetermined state, walked by the
     oracle kernel.  `lits` and `start` are the instance's array('i')
-    buffers.  Returns (states, violating, offsets, succ, weights, wbase):
-    the columns' packed state indices in walk order, one byte per column
-    (nonzero where the state violates a clause), the n + 1 offsets of the
-    columns' entries, and each entry's successor index and weight
-    numerator * wbase + denominator."""
+    buffers.  Returns (states, violating, offsets, succ, keys, wbase), each
+    copied once from the kernel: the columns' packed state indices in walk
+    order (array('q')), one byte per column (1 where the state violates a
+    clause), the n + 1 offsets of the columns' entries (array('q')), and per
+    entry its successor's column position and its weight key numerator *
+    wbase + denominator (array('q') each)."""
     out = _Closure()
     try:
         if lib.sg_closure(n_vars, len(start) - 1, lits.buffer_info()[0],
@@ -238,7 +247,8 @@ def closure(lib, n_vars: int, lits, start, heuristic: str):
                           ctypes.byref(out)):
             raise MemoryError("oracle kernel out of memory")
         n, nnz = out.n_states, out.nnz
-        return (out.state[:n], ctypes.string_at(out.violating, n),
-                out.offset[:n + 1], out.succ[:nnz], out.weight[:nnz], out.wbase)
+        return (_int64s(out.state, n), ctypes.string_at(out.violating, n),
+                _int64s(out.offset, n + 1), _int64s(out.succ, nnz),
+                _int64s(out.weight, nnz), out.wbase)
     finally:
         lib.sg_closure_free(ctypes.byref(out))

@@ -3,8 +3,8 @@ function B(T), in exact rational arithmetic.
 
 For an unsatisfiable instance, B(T) = <Sigma| H^T |U> becomes stationary at
 some T* <= N and the stationary value B* is the heuristic-averaged number of
-leaves of the DPLL refutation tree.  Operator columns are built lazily over
-the forward closure of the fully-undetermined state, so the full 3^N basis is
+leaves of the DPLL refutation tree.  Operator columns are built over the
+forward closure of the fully-undetermined state, so the full 3^N basis is
 never materialized.
 
 States are packed base-3: digit i of an index is the mark of variable i
@@ -17,34 +17,40 @@ Each popped state is classified from scratch with cnf.classify; a violating
 state gets the absorbing self-loop, any other the successors that
 _transitions gives under the heuristic.  The walk runs compiled, in
 oracle_kernel.c (built by native.load()), which classifies over the instance's
-clause buffers as cnf.classify does and returns flat arrays; the build turns
-them into the columns, one Fraction per distinct weight.  Where the kernel
-cannot be built the same walk runs in Python, which is also the reference
-the kernel is tested against.  Both walks give equal columns in equal order.
+clause buffers as cnf.classify does.  Where the kernel cannot be built the
+same walk runs in Python, which is also the reference the kernel is tested
+against.  Both walks return the same flat arrays, which the EvolutionOperator
+holds as they are: the columns' states, a violating flag per column, the
+columns' entry offsets, and per entry the successor's column position and a
+weight key that packs the unreduced weight num/den as num * wbase + den.
+Lists of (state, Fraction) pairs are made only when a column is read.
 
 Every non-absorbing transition assigns one variable, so the closure is a DAG
-layered by depth, and B(T) is summed in one pass over the layers: the mass of
-live (non-violating) states is carried from layer to layer, the mass that
-enters a violating state joins one absorbed total, and an all-satisfied state
-(empty column) keeps its mass only for the layer that reaches it.  Then
-B(T) = absorbed + the live mass at depth T; the masses are kept as integer
-numerators over a common denominator per layer, so B(T) is exact.
+layered by depth, and B(T) is summed in one pass over the arrays, layer by
+layer: the mass of live (non-violating) columns is carried from layer to
+layer, the mass that enters a violating column joins one absorbed total, and
+an all-satisfied state (empty column) keeps its mass only for the layer that
+reaches it.  Then B(T) = absorbed + the live mass at depth T.  The masses
+are integer numerators over scale**T, where scale is the lcm of the distinct
+weight denominators, and each distinct weight key maps a mass to mass times
+one integer multiplier, so B(T) is exact.
 """
 
 import functools
-import gc
 import math
 import random
+from array import array
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
-from itertools import compress
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import dpll, native
 from .cnf import F, T, U, Instance, brute_force_satisfiable, classify
 
-DEFAULT_VAR_CAP = 12
+# one build plus (T*, B*) of an unsat GUC instance at alpha0=7 peaks at about
+# 160 MB of resident memory at N=15 (1.2M states, 3.2M entries)
+DEFAULT_VAR_CAP = 15
 
 
 class SatisfiableInstanceError(ValueError):
@@ -69,13 +75,12 @@ def unpack_state(index: int, n_vars: int) -> Tuple[int, ...]:
 
 
 def _transitions(clauses: Sequence[Sequence[int]], marks: Sequence[int],
-                 idx: int, heuristic: str,
-                 weight: Callable[[int, int], Fraction]
-                 ) -> Tuple[bool, List[Tuple[int, Fraction]]]:
+                 idx: int, heuristic: str
+                 ) -> Tuple[bool, List[Tuple[int, int, int]]]:
     """(violated, column) of the state idx with the given marks: classified
-    from scratch with cnf.classify, then given its successor (state index,
-    weight) pairs per the heuristic-induced rules; weight(num, den) makes the
-    Fraction num/den.
+    from scratch with cnf.classify, then given its successors per the
+    heuristic-induced rules, as (state index, num, den) triples of the
+    unreduced weight num/den that the kernel also emits.
 
     Violating: the absorbing self-loop, weight 1.  Unit clauses present:
     weight h(j|S) g(x|S,j) on the single forced child per (variable, value);
@@ -86,50 +91,87 @@ def _transitions(clauses: Sequence[Sequence[int]], marks: Sequence[int],
     """
     violated, undet = classify(clauses, marks)
     if violated:
-        return True, [(idx, weight(1, 1))]
+        return True, [(idx, 1, 1)]
     if not undet:
         return False, []
     units = [slots[0] for slots in undet if len(slots) == 1]
     if units:
         c1 = len(units)
-        return False, [(idx + (T if lit & 1 == 0 else F) * 3 ** (lit >> 1),
-                        weight(cnt, c1))
+        return False, [(idx + (T if lit & 1 == 0 else F) * 3 ** (lit >> 1), cnt, c1)
                        for lit, cnt in sorted(Counter(units).items())]
     if heuristic == dpll.GUC:
         kmin = min(map(len, undet))
         shortest = [slots for slots in undet if len(slots) == kmin]
         den = len(shortest) * kmin
         counts = Counter(lit >> 1 for slots in shortest for lit in slots)
-        h = [(v, weight(cnt, den)) for v, cnt in sorted(counts.items())]
+        h = [(v, cnt, den) for v, cnt in sorted(counts.items())]
     else:  # UC and SC1: uniform over undetermined variables
         free_vars = [v for v, m in enumerate(marks) if m == U]
-        w = weight(1, len(free_vars))
-        h = [(v, w) for v in free_vars]
-    out: List[Tuple[int, Fraction]] = []
-    for v, w in h:
+        h = [(v, 1, len(free_vars)) for v in free_vars]
+    out: List[Tuple[int, int, int]] = []
+    for v, num, den in h:
         step = 3 ** v
-        out.append((idx + T * step, w))
-        out.append((idx + F * step, w))
+        out.append((idx + T * step, num, den))
+        out.append((idx + F * step, num, den))
     return False, out
 
 
+class _Columns(Mapping):
+    """The operator's columns as a read-only map S -> [(S', <S'|H|S>)] of
+    packed states and Fractions, in walk order.  Its length and keys come
+    from the arrays; a column's list is made only when it is read.  It
+    holds the arrays, not the operator, so the two form no cycle."""
+
+    def __init__(self, states: array, offsets: array, succ: array,
+                 keys: array, wbase: int):
+        self._states, self._offsets, self._succ, self._keys = (
+            states, offsets, succ, keys)
+        self._weight = functools.cache(lambda key: Fraction(*divmod(key, wbase)))
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._states)
+
+    @functools.cached_property
+    def _position(self) -> Dict[int, int]:
+        return {s: p for p, s in enumerate(self._states)}
+
+    def __getitem__(self, state: int) -> List[Tuple[int, Fraction]]:
+        p = self._position[state]
+        first, end = self._offsets[p], self._offsets[p + 1]
+        return list(zip(map(self._states.__getitem__, self._succ[first:end]),
+                        map(self._weight, self._keys[first:end])))
+
+
 class EvolutionOperator:
-    """Sparse column map S -> [(S', <S'|H|S>)] over the forward closure of U.
+    """The operator over the forward closure of U, as the walk's flat
+    arrays: `states` holds each column's packed state in walk order (column
+    0 is U), `violating` one flag byte per column, `offsets` the n + 1
+    bounds of the columns' entries, and per entry `succ` the successor's
+    column position and `keys` the weight num/den as num * wbase + den.
 
     Violating states are absorbing (diagonal entry 1).  Non-violating states
     whose clauses are all satisfied (possible only for satisfiable instances)
     get an empty column: such branches leave the count, so B(T) then counts
-    contradiction leaves only.
+    contradiction leaves only.  `columns` reads the arrays as packed states
+    and Fractions (see _Columns).
     """
 
-    def __init__(self, n_vars: int, columns: Dict[int, List[Tuple[int, Fraction]]],
-                 violating: set):
+    def __init__(self, n_vars: int, states: array, violating: bytes,
+                 offsets: array, succ: array, keys: array, wbase: int):
         self.n_vars = n_vars
-        self.columns = columns
+        self.states = states
         self.violating = violating
+        self.offsets = offsets
+        self.succ = succ
+        self.keys = keys
+        self.wbase = wbase
+        self.columns = _Columns(states, offsets, succ, keys, wbase)
 
     def nnz(self) -> int:
-        return sum(len(col) for col in self.columns.values())
+        return len(self.succ)
 
     def dump(self, fh) -> None:
         """Text dump: one 'row col numerator denominator' line per entry."""
@@ -146,47 +188,41 @@ def build_evolution_operator(instance: Instance, heuristic: str,
     n = instance.n_vars
     if n > var_cap:
         raise ValueError(f"n_vars={n} exceeds the operator cap ({var_cap})")
-    # the columns and their entries cannot form cycles, so the cyclic
-    # collector, which would rescan them as they grow, is paused
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        lib = native.load()
-        if lib is None:
-            return _python_closure(instance, heuristic)
-        states, violating, offsets, succ, keys, wbase = native.closure(
-            lib, n, instance.lits, instance.starts, heuristic)
-        weights = {key: Fraction(*divmod(key, wbase)) for key in set(keys)}
-        entries = list(zip(succ, map(weights.__getitem__, keys)))
-        columns = dict(zip(states, map(entries.__getitem__,
-                                       map(slice, offsets, offsets[1:]))))
-        return EvolutionOperator(n, columns, set(compress(states, violating)))
-    finally:
-        if collecting:
-            gc.enable()
+    lib = native.load()
+    if lib is None:
+        return EvolutionOperator(n, *_python_closure(instance, heuristic))
+    return EvolutionOperator(n, *native.closure(
+        lib, n, instance.lits, instance.starts, heuristic))
 
 
-def _python_closure(instance: Instance, heuristic: str) -> EvolutionOperator:
+def _python_closure(instance: Instance, heuristic: str):
     """The closure walk in Python, the kernel's algorithm (see the module
-    docstring)."""
+    docstring), with the arrays that native.closure returns."""
     n = instance.n_vars
     clauses = instance.clauses()
-    weight = functools.cache(Fraction)  # one Fraction per distinct weight
-    columns: Dict[int, List[Tuple[int, Fraction]]] = {}
-    violating = set()
+    # above every denominator (C1, #shortest * kmin, #free), as in the kernel
+    wbase = max(3 * instance.n_clauses, n, 1) + 1
+    states, succ, keys = array("q"), array("q"), array("q")
+    offsets = array("q", [0])
+    violating = bytearray()
     stack = [0]  # the all-undetermined state
     seen = {0}
     while stack:
         idx = stack.pop()
-        violated, columns[idx] = _transitions(
-            clauses, unpack_state(idx, n), idx, heuristic, weight)
-        if violated:
-            violating.add(idx)
-        for s2, _ in columns[idx]:
+        violated, column = _transitions(clauses, unpack_state(idx, n), idx,
+                                        heuristic)
+        states.append(idx)
+        violating.append(violated)
+        for s2, num, den in column:
+            succ.append(s2)
+            keys.append(num * wbase + den)
             if s2 not in seen:
                 seen.add(s2)
                 stack.append(s2)
-    return EvolutionOperator(n, columns, violating)
+        offsets.append(len(succ))
+    position = {s: p for p, s in enumerate(states)}
+    succ = array("q", map(position.__getitem__, succ))
+    return states, bytes(violating), offsets, succ, keys, wbase
 
 
 def transition_probs(instance: Instance, heuristic: str,
@@ -195,10 +231,10 @@ def transition_probs(instance: Instance, heuristic: str,
     index, exact weight) pairs, classified from scratch with cnf.classify."""
     dpll.check_heuristic(heuristic)
     violated, column = _transitions(instance.clauses(), marks, pack_state(marks),
-                                    heuristic, Fraction)
+                                    heuristic)
     if violated:
         raise ValueError("transition probabilities are undefined on a violating state")
-    return column
+    return [(s2, Fraction(num, den)) for s2, num, den in column]
 
 
 def branch_function_sequence(instance: Instance, heuristic: str, t_max: int,
@@ -215,30 +251,34 @@ def branch_function_sequence(instance: Instance, heuristic: str, t_max: int,
     if t_max < 0:
         raise ValueError("T must be >= 0")
     op = operator or build_evolution_operator(instance, heuristic)
-    columns, violating = op.columns, op.violating
+    offsets, succ, keys, violating = op.offsets, op.succ, op.keys, op.violating
     # masses at depth t are integers over scale**t, where scale is the lcm of
-    # the weight denominators: weight w maps mass m to m * (w * scale)
-    scale = math.lcm(*{w.denominator for col in columns.values() for _, w in col})
+    # the weight denominators: the weight of key k maps mass m to m * mult[k]
+    distinct = set(keys)
+    scale = math.lcm(*{k % op.wbase for k in distinct})
+    mult = {k: k // op.wbase * (scale // (k % op.wbase)) for k in distinct}
     absorbed = 0
-    live = {0: 1}  # all mass on the all-undetermined state
+    live = {0: 1}  # all mass on column 0, the all-undetermined state
     seq = [Fraction(1)]
     den = 1
     while len(seq) <= t_max and live:
         nxt: Dict[int, int] = {}
         absorbed *= scale
         den *= scale
-        for s, m in live.items():
-            last = None  # consecutive entries often share one weight object
-            for s2, w in columns[s]:
-                if w is not last:
-                    last = w
-                    mw = m * (w.numerator * (scale // w.denominator))
-                if s2 in violating:
+        for p, m in live.items():
+            last = None  # consecutive entries often share one key
+            for e in range(offsets[p], offsets[p + 1]):
+                k = keys[e]
+                if k != last:
+                    last = k
+                    mw = m * mult[k]
+                q = succ[e]
+                if violating[q]:
                     absorbed += mw
-                elif s2 in nxt:
-                    nxt[s2] += mw
+                elif q in nxt:
+                    nxt[q] += mw
                 else:
-                    nxt[s2] = mw
+                    nxt[q] = mw
         live = nxt
         seq.append(Fraction(absorbed + sum(live.values()), den))
     seq.extend([seq[-1]] * (t_max + 1 - len(seq)))

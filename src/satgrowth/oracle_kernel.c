@@ -3,9 +3,10 @@
  * From the all-undetermined state (index 0) the walk pops states off a
  * stack, emits each popped state's column and pushes the successors it has
  * not seen yet, in column order, so the columns come out in the order of the
- * Python build in oracle.py.  States are packed base-3 (digit i is the mark
- * of variable i: 0 = u, 1 = t, 2 = f) and a 3^N byte array marks the states
- * seen.
+ * Python walk in oracle.py.  States are packed base-3 (digit i is the mark
+ * of variable i: 0 = u, 1 = t, 2 = f), and a 3^N int32 array marks the
+ * states seen (-1) and then holds each popped state's column position + 1.
+ * After the walk every successor index is replaced by its column position.
  *
  * Each popped state is classified from scratch over the instance's packed
  * literals (2 * variable + negated) and clause offsets, as cnf.classify
@@ -24,9 +25,10 @@
  *   UC and SC1:     both children of every free variable, ascending,
  *                   weight 1/#free.
  *
- * A weight num/den leaves as the key num * wbase + den, where wbase exceeds
- * every denominator; Python makes the Fractions.  The kernel allocates all
- * of its state per call and keeps nothing between calls.
+ * A weight num/den leaves unreduced as the key num * wbase + den, where
+ * wbase exceeds every denominator; Python makes the Fractions and the
+ * multipliers of its B(T) pass.  The kernel allocates all of its state per
+ * call and keeps nothing between calls.
  */
 
 #include <stdint.h>
@@ -45,7 +47,7 @@ typedef struct {
     int64_t *state;    /* packed index of each column's state */
     char *violating;   /* 1 where that state violates a clause */
     int64_t *offset;   /* n_states + 1 offsets of the columns' entries */
-    int64_t *succ;     /* successor index of each entry */
+    int64_t *succ;     /* successor column position of each entry */
     int64_t *weight;   /* num * wbase + den of each entry */
 } sg_closure_t;
 
@@ -99,7 +101,8 @@ static int reserve_entries(sg_closure_t *out, int64_t *cap, int64_t need)
     return 0;
 }
 
-/* Returns 0, or -1 when memory runs out (out is then empty). */
+/* Returns 0, or -1 when memory runs out or the columns outgrow int32
+   positions (out is then empty). */
 int sg_closure(int32_t n_vars, int32_t n_clauses, const int32_t *lits,
                const int32_t *starts, int32_t heuristic, sg_closure_t *out)
 {
@@ -115,13 +118,13 @@ int sg_closure(int32_t n_vars, int32_t n_clauses, const int32_t *lits,
     wbase = wbase > 1 ? wbase + 1 : 2;
 
     int64_t col_cap = 0, ent_cap = 0, stack_cap = 64, depth = 0;
-    uint8_t *seen = calloc((size_t)pow3[n_vars], 1);
+    int32_t *pos = calloc((size_t)pow3[n_vars], sizeof *pos);
     int64_t *stack = malloc((size_t)stack_cap * sizeof *stack);
     int32_t *slots = malloc((3 * (size_t)n_clauses + 1) * sizeof *slots);
     int8_t *len = malloc((size_t)n_clauses + 1);
     int32_t *cnt = calloc(2 * (size_t)n_vars + 1, sizeof *cnt);
     int rc = -1;
-    if (!seen || !stack || !slots || !len || !cnt
+    if (!pos || !stack || !slots || !len || !cnt
         || reserve_columns(out, &col_cap, 64)
         || reserve_entries(out, &ent_cap, 256))
         goto done;
@@ -129,10 +132,13 @@ int sg_closure(int32_t n_vars, int32_t n_clauses, const int32_t *lits,
     uint8_t marks[MAX_VARS + 1];
     int64_t n_states = 0, nnz = 0;
     out->offset[0] = 0;
-    seen[0] = 1;
+    pos[0] = -1;
     stack[depth++] = 0;
     while (depth) {
         int64_t idx = stack[--depth];
+        if (n_states == INT32_MAX - 1)
+            goto done;
+        pos[idx] = (int32_t)(n_states + 1);
         int64_t rest = idx;
         for (int v = 0; v < n_vars; v++) {
             marks[v] = (uint8_t)(rest % 3);
@@ -225,9 +231,9 @@ int sg_closure(int32_t n_vars, int32_t n_clauses, const int32_t *lits,
             continue;
         for (int64_t e = first; e < nnz; e++) {
             int64_t s2 = out->succ[e];
-            if (seen[s2])
+            if (pos[s2])
                 continue;
-            seen[s2] = 1;
+            pos[s2] = -1;
             if (depth == stack_cap) {
                 int64_t *grown = realloc(stack, 2 * (size_t)stack_cap * sizeof *stack);
                 if (!grown)
@@ -238,12 +244,15 @@ int sg_closure(int32_t n_vars, int32_t n_clauses, const int32_t *lits,
             stack[depth++] = s2;
         }
     }
+    /* every successor has been popped, so each has its position */
+    for (int64_t e = 0; e < nnz; e++)
+        out->succ[e] = pos[out->succ[e]] - 1;
     out->n_states = n_states;
     out->nnz = nnz;
     out->wbase = wbase;
     rc = 0;
 done:
-    free(seen);
+    free(pos);
     free(stack);
     free(slots);
     free(len);

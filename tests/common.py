@@ -1,5 +1,8 @@
 """Shared test fixtures: the three toy instances, two instances with
-repeated variables and a small unsat corpus."""
+repeated variables, a small unsat corpus and readers of an operator's
+arrays."""
+
+from itertools import compress
 
 from satgrowth.cnf import (Instance, brute_force_satisfiable, clause,
                            generate_random_instance)
@@ -39,3 +42,14 @@ def unsat_corpus(count, n_vars=8, alphas=(4.0, 5.5, 7.0, 8.5, 10.0),
         if not brute_force_satisfiable(inst):
             out.append(inst)
     return out
+
+
+def violating_states(op):
+    """The packed states of an EvolutionOperator's violating columns."""
+    return set(compress(op.states, op.violating))
+
+
+def operator_arrays(op):
+    """Everything an EvolutionOperator holds, for equality checks."""
+    return (op.n_vars, op.states, op.violating, op.offsets, op.succ, op.keys,
+            op.wbase)

@@ -1,9 +1,13 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from common import I1, I2, I3, unsat_corpus
-from satgrowth.cnf import Instance, clause, parse_marks
+from common import I1, I2, I3, unsat_corpus, violating_states
+from satgrowth import dpll
+from satgrowth.cnf import (Instance, clause, generate_random_instance,
+                           parse_marks)
 from satgrowth.oracle import (SatisfiableInstanceError,
                               branch_function_sequence,
                               build_evolution_operator, monte_carlo_leaf_mean,
@@ -68,6 +72,22 @@ def test_transition_probs_reject_violating():
         transition_probs(I2, "GUC", parse_marks("tt"))
 
 
+def test_operator_freed_without_the_cyclic_collector():
+    # the operator and its columns view form no reference cycle, so a
+    # dropped operator frees its arrays at once, also with the collector off
+    op = build_evolution_operator(I3, "GUC")
+    assert dict(op.columns)  # fills the view's caches
+    ref = weakref.ref(op)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        del op
+        assert ref() is None
+    finally:
+        if was:
+            gc.enable()
+
+
 def test_operator_sparsity_counts():
     assert build_evolution_operator(I2, "GUC").nnz() == 16
     # The per-state evolution rules enumerate to exactly 50 entries for this
@@ -81,7 +101,7 @@ def test_operator_column_sums():
         op = build_evolution_operator(inst, "GUC")
         for s in op.columns:
             total = column_sum(op, s)
-            if s in op.violating:
+            if s in violating_states(op):
                 assert total == 1
             else:
                 assert total in (Fraction(1), Fraction(2))
@@ -105,6 +125,42 @@ def test_branch_function_golden_sequences():
     seq = branch_function_sequence(I3, "GUC", 4)
     assert seq == [1, 2, Fraction(12, 5), Fraction(12, 5), Fraction(12, 5)]
     assert branch_function_sequence(I3, "GUC", 2)[-1] == Fraction(12, 5)
+
+
+def dense_branch_sequence(op, t_max):
+    """B(0..t_max) = <Sigma| H^T |U> by explicit products of the dense
+    Fraction matrix H, built from op.columns over the reachable states, with
+    a dense vector; absorbing states keep their mass through the self-loop."""
+    states = sorted(op.columns)
+    index = {s: i for i, s in enumerate(states)}
+    h = [[Fraction(0)] * len(states) for _ in states]
+    for s in states:
+        for s2, w in op.columns[s]:
+            h[index[s2]][index[s]] += w
+    v = [Fraction(0)] * len(states)
+    v[index[0]] = Fraction(1)
+    seq = [sum(v)]
+    for _ in range(t_max):
+        v = [sum((w * x for w, x in zip(row, v) if w and x), Fraction(0))
+             for row in h]
+        seq.append(sum(v))
+    return seq
+
+
+def test_branch_function_matches_dense_products():
+    # the 3-variable example, and sat and unsat random 2+p instances at
+    # N <= 6 under every heuristic
+    cases = [(I3, h) for h in dpll.HEURISTICS]
+    for n in range(3, 7):
+        for j, (n2, n3) in enumerate(((0, 2 * n), (n, 3 * n), (0, 7 * n))):
+            inst = generate_random_instance(n, n2, n3, 5000 + 10 * n + j)
+            cases.append((inst, dpll.HEURISTICS[(n + j) % 3]))
+    assert {h for _, h in cases} == set(dpll.HEURISTICS)
+    for inst, h in cases:
+        op = build_evolution_operator(inst, h)
+        t_max = inst.n_vars + 2
+        assert (branch_function_sequence(inst, h, t_max, op)
+                == dense_branch_sequence(op, t_max)), (inst.n_vars, h)
 
 
 def test_stationary_tree_size_goldens():
@@ -137,7 +193,7 @@ def test_unknown_heuristic_rejected():
 
 
 def test_var_cap():
-    big = Instance(13, [clause(1, 2, 3)])
+    big = Instance(16, [clause(1, 2, 3)])
     with pytest.raises(ValueError):
         build_evolution_operator(big, "GUC")
 

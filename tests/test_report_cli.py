@@ -5,8 +5,8 @@ import os
 
 import pytest
 
-from satgrowth import (annealed, cli, cnf, ensemble, growth, native, oracle,
-                       report, trajectory)
+from satgrowth import (annealed, cli, cnf, dpll, ensemble, growth, native,
+                       oracle, report, trajectory)
 from satgrowth.ensemble import EnsembleConfig, extrapolate_omega, run_ensemble
 
 
@@ -54,6 +54,29 @@ def test_cli_gen_solve_roundtrip(tmp_path, capsys):
                          "seed", "heuristic", "n_vars", "alpha0"}
     assert _digest(open(json_path, "rb").read()) == \
         "567f0b4127915dc09ccc74c771b2ffd7"
+
+
+def test_cli_solve_records_cloud_only_for_json(tmp_path, capsys, monkeypatch):
+    # the cloud is written only by --json, so a plain solve does not record it
+    cnf_path = str(tmp_path / "inst.cnf")
+    assert cli.main(["gen", "--n-vars", "12", "--n3", "50", "--seed", "4",
+                     "--out", cnf_path]) == 0
+    capsys.readouterr()
+    flags = []
+    solve = dpll.solve
+
+    def spy(*args, record_cloud):
+        flags.append(record_cloud)
+        return solve(*args, record_cloud=record_cloud)
+
+    monkeypatch.setattr(dpll, "solve", spy)
+    json_path = str(tmp_path / "run.json")
+    for argv in ([], ["--no-cloud"], ["--json", json_path, "--no-cloud"],
+                 ["--json", json_path]):
+        assert cli.main(["solve", cnf_path, "--seed", "2", *argv]) == 0
+        assert capsys.readouterr().out.strip() == _GOLDEN_SOLVE
+    assert flags == [False, False, False, True]
+    assert len(json.load(open(json_path))["cloud"]) == 6
 
 
 def _counting(monkeypatch, module, name):
