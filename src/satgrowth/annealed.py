@@ -44,10 +44,10 @@ builds each table once.  The multiply-adds run in the C kernel
 annealed_kernel.c, which native.load() builds with the other kernels and
 binds (as its `passes`) to the AVX2 entry points when the CPU has AVX2, else
 to the baseline ones.  A pass with at least THREAD_CELLS destination cells per
-thread splits its destination rows across up to native.usable_cpus()
-threads, each cell computed by one of them.  When the kernel cannot be
-built the passes run in the numpy loops of _thin_pass/_convert_pass, which
-are the readable reference.  Every backend and thread count adds each
+thread splits its destination rows across up to the library's `threads`
+(native.usable_cpus()), each cell computed by one of them.  When the kernel
+cannot be built the passes run in the numpy loops of
+_thin_pass/_convert_pass, which are the readable reference.  Every backend and thread count adds each
 cell's terms in the same order, so fields, mass curves and omegas are
 bit-identical across them.  The yielded fields hold the chain's own
 windows, marked read-only, and each sums its window once.
@@ -229,10 +229,10 @@ def _check_pass(arr: np.ndarray, weights: np.ndarray, axis: int,
                          f"with a {weights.shape} weight table")
 
 
-def _threads(passes: native.AnnealedPasses, cells: int) -> int:
+def _threads(lib, cells: int) -> int:
     """Threads for a compiled pass with `cells` destination cells: at least
-    THREAD_CELLS cells each, at most passes.threads."""
-    return max(1, min(passes.threads, cells // THREAD_CELLS))
+    THREAD_CELLS cells each, at most lib.threads."""
+    return max(1, min(lib.threads, cells // THREAD_CELLS))
 
 
 def _thin_pass(arr: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
@@ -256,7 +256,7 @@ def _thin_pass(arr: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
     out = np.zeros(src.shape)
     lib.passes.thin(src.ctypes.data, out.ctypes.data, math.prod(src.shape[:axis]),
                     src.shape[axis], math.prod(src.shape[axis + 1:]),
-                    weights.ctypes.data, len(weights), _threads(lib.passes, out.size))
+                    weights.ctypes.data, len(weights), _threads(lib, out.size))
     return out
 
 
@@ -286,7 +286,7 @@ def _convert_pass(arr: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray
                        math.prod(src.shape[:axis - 1]), src.shape[axis - 1],
                        shape[axis - 1], src.shape[axis],
                        math.prod(src.shape[axis + 1:]), weights.ctypes.data,
-                       len(weights), _threads(lib.passes, out.size))
+                       len(weights), _threads(lib, out.size))
     return out
 
 

@@ -41,6 +41,14 @@ def _add_heuristic(p):
     p.add_argument("--heuristic", choices=HEURISTICS, default=GUC)
 
 
+def _count(text: str) -> int:
+    """A count of runs, 0 or more; argparse reports a negative one."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 def _parse_g(text: str) -> GPoint:
     """G from 'p,alpha,t', with p in [0, 1], 0 < alpha < inf and t in [0, 1)."""
     p, alpha, t = (float(x) for x in text.split(","))
@@ -272,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_heuristic(p)
     p.add_argument("--cap", type=int, default=oracle.DEFAULT_VAR_CAP)
     p.add_argument("--dump", help="dump sparse operator entries here")
-    p.add_argument("--mc", type=int, default=0, help="cross-check with this many solver runs")
+    p.add_argument("--mc", type=_count, default=0,
+                   help="cross-check with this many solver runs (0: off)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_oracle)
 

@@ -21,11 +21,21 @@
  * integer (assigned, C2, C3) triples; Python forms the floats.  Every sat
  * assignment is checked against every clause before it leaves.
  *
+ * A batch is cheaper per seed than a single solve in two ways, neither of
+ * which changes a draw.  init_by_array is a serial chain of 1,247 dependent
+ * multiply steps, so sg_search seeds each full block of LANES seeds with
+ * one mixing pass over LANES states at once (mt_seed_lanes), whose chains
+ * overlap; a tail of fewer seeds, and a single solve, seed one at a time
+ * (mt_seed).  And sg_search cuts its seeds into contiguous ranges, one per
+ * thread, each with its own solver state and cloud buffer; the threads are
+ * joined before it returns and the clouds are joined in seed order.
+ *
  * Literals are packed as 2 * variable + negated.  The kernel allocates all
  * of its state per call and keeps nothing between calls, so separate calls
  * may run in parallel.
  */
 
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -111,6 +121,55 @@ static void mt_seed(mt_state *r, const mt_state *r0, uint64_t seed)
     mt_mix_key(r, key, key[1] ? 2 : 1);
 }
 
+/* Seeds mixed at once by mt_seed_lanes: a block of them fills the vectors
+   that carry the chains. */
+#define LANES 16
+
+/* mt_seed for seeds[0 .. LANES) at once: leaves random.Random(seeds[l])
+   in lane l of mt, which holds LANES states lane-minor (mt[i][lane]), each
+   starting from r0 = init_genrand(19650218).  mt_mix_key's step k adds
+   key[j] + j with j = k mod len, which is add[k & 1][lane]: key[0] at
+   every step for a one-word key, key[0] and key[1] + 1 in turn for a
+   two-word key.  Both mixing loops outlast either key length, so every
+   lane steps i alike and each lane's chain is the one mt_mix_key runs. */
+static void mt_seed_lanes(uint32_t (*mt)[LANES], const mt_state *r0,
+                          const uint64_t *seeds)
+{
+    uint32_t add[2][LANES];
+    for (int l = 0; l < LANES; l++) {
+        uint32_t lo = (uint32_t)seeds[l], hi = (uint32_t)(seeds[l] >> 32);
+        add[0][l] = lo;
+        add[1][l] = hi ? hi + 1U : lo;
+    }
+    for (int i = 0; i < MT_N; i++)
+        for (int l = 0; l < LANES; l++)
+            mt[i][l] = r0->mt[i];
+    int i = 1;
+    for (int k = 0; k < MT_N; k++) {
+        const uint32_t *a = add[k & 1];
+        for (int l = 0; l < LANES; l++)
+            mt[i][l] = (mt[i][l] ^ ((mt[i - 1][l] ^ (mt[i - 1][l] >> 30)) * 1664525U))
+                       + a[l];
+        if (++i >= MT_N) { memcpy(mt[0], mt[MT_N - 1], sizeof mt[0]); i = 1; }
+    }
+    for (int k = MT_N - 1; k; k--) {
+        for (int l = 0; l < LANES; l++)
+            mt[i][l] = (mt[i][l] ^ ((mt[i - 1][l] ^ (mt[i - 1][l] >> 30)) * 1566083941U))
+                       - (uint32_t)i;
+        if (++i >= MT_N) { memcpy(mt[0], mt[MT_N - 1], sizeof mt[0]); i = 1; }
+    }
+    for (int l = 0; l < LANES; l++)
+        mt[0][l] = 0x80000000U;
+}
+
+/* The state of lane `lane` of mt, as mt_seed would have left it in r */
+static void mt_lane(mt_state *r, const uint32_t (*mt)[LANES], int lane)
+{
+    for (int i = 0; i < MT_N; i++)
+        r->mt[i] = mt[i][lane];
+    r->mti = 0;
+}
+
 /* int(random() * len) */
 static int32_t mt_index(mt_state *r, int32_t len)
 {
@@ -170,6 +229,8 @@ typedef struct {
     int conflict;
     mt_state rng;
     mt_state rng0;                  /* init_genrand(19650218), see mt_seed */
+    uint32_t (*lanes)[LANES];       /* a block's states, or NULL; see
+                                       mt_seed_lanes */
 } solver;
 
 static void live_remove(solver *s, int k, int32_t c)
@@ -334,11 +395,12 @@ static int32_t select_literal(solver *s, int heuristic)
 
 /* The part of the solver state that depends on the instance only: the
  * occurrence lists and room for everything else, carved from one zeroed
- * block that the caller frees (s->occ_start, NULL when out of memory).
+ * block that the caller frees (s->occ_start, NULL when out of memory),
+ * with room for a block of LANES seed states when `lanes` is set.
  * Returns the frame stack, n + 1 deep (a frame per assigned variable at
  * most), or NULL when out of memory. */
 static frame *setup(solver *s, int32_t n, int32_t m, const int32_t *lits,
-                    const int32_t *start, int heuristic)
+                    const int32_t *start, int heuristic, int lanes)
 {
     int32_t nlits = start[m];
     size_t mm = (size_t)m + 1, nn = (size_t)n + 1;
@@ -347,7 +409,8 @@ static frame *setup(solver *s, int32_t n, int32_t m, const int32_t *lits,
                    + 5 * mm                     /* st, livepos, lives[1..3] */
                    + 3 * nn                     /* trail, freevars, freepos */
                    + 2 * ((size_t)nlits + 1)    /* move_c, move_x */
-                   + nn * (sizeof(frame) / sizeof(int32_t));
+                   + nn * (sizeof(frame) / sizeof(int32_t))
+                   + (lanes ? (size_t)MT_N * LANES : 0);
     int32_t *w = calloc(words * sizeof(int32_t) + 2 * nn, 1);
     memset(s, 0, sizeof *s);
     if (!w)
@@ -369,6 +432,8 @@ static frame *setup(solver *s, int32_t n, int32_t m, const int32_t *lits,
     s->move_c = s->freepos + nn;
     s->move_x = s->move_c + nlits + 1;
     frame *frames = (frame *)(s->move_x + nlits + 1);
+    if (lanes)
+        s->lanes = (uint32_t (*)[LANES])(frames + nn);
     s->val = (int8_t *)(w + words);
     s->values = (uint8_t *)s->val + nn;
 
@@ -386,8 +451,9 @@ static frame *setup(solver *s, int32_t n, int32_t m, const int32_t *lits,
     return frames;
 }
 
-/* Fresh search state for one seed, as DpllSolver.reset() builds it. */
-static void reset(solver *s, uint64_t seed)
+/* Fresh search state, as DpllSolver.reset() builds it; the caller seeds
+   s->rng. */
+static void reset(solver *s)
 {
     memset(s->val, -1, (size_t)s->n);
     memset(s->nlive, 0, sizeof s->nlive);
@@ -405,7 +471,6 @@ static void reset(solver *s, uint64_t seed)
         }
         s->nfreevars = s->n;
     }
-    mt_seed(&s->rng, &s->rng0, seed);
 }
 
 /* 1 when every clause holds a literal that s->values makes true */
@@ -501,6 +566,59 @@ static int search(solver *s, frame *frames, int heuristic, int64_t *out,
     return SG_OK;
 }
 
+/* One sg_search call: the instance, and where its searches write. */
+typedef struct {
+    int32_t n, m;
+    const int32_t *lits, *start;
+    int heuristic;
+    const uint64_t *seeds;
+    int64_t *out;
+    uint8_t *assignments;
+    int record_cloud;
+} batch;
+
+/* Seeds lo .. hi - 1 of a batch, run on one thread with its own solver
+   state and cloud buffer; rc is 0 or the range's first negative SG_ code,
+   at which the range stops. */
+typedef struct {
+    const batch *b;
+    int32_t lo, hi;
+    cloud_buf cloud;
+    int rc;
+} range;
+
+/* Each full block of LANES seeds from lo on is seeded at once, the tail
+   one seed at a time. */
+static void *run_range(void *arg)
+{
+    range *r = arg;
+    const batch *b = r->b;
+    solver s;
+    frame *frames = setup(&s, b->n, b->m, b->lits, b->start, b->heuristic,
+                          r->hi - r->lo >= LANES);
+    r->rc = frames ? SG_OK : SG_NOMEM;
+    for (int32_t i = r->lo; r->rc == SG_OK && i < r->hi; i++) {
+        int32_t lane = (i - r->lo) % LANES;
+        int in_block = r->hi - (i - lane) >= LANES;
+        if (in_block && lane == 0)
+            mt_seed_lanes(s.lanes, &s.rng0, b->seeds + i);
+        reset(&s);
+        if (in_block)
+            mt_lane(&s.rng, s.lanes, lane);
+        else
+            mt_seed(&s.rng, &s.rng0, b->seeds[i]);
+        int64_t *row = b->out + 6 * (int64_t)i;
+        r->rc = search(&s, frames, b->heuristic, row,
+                       b->record_cloud ? &r->cloud : NULL);
+        if (r->rc == SG_OK && row[0])
+            memcpy(b->assignments + (size_t)b->n * i, s.values, (size_t)b->n);
+    }
+    free(s.occ_start);
+    return NULL;
+}
+
+#define MAX_THREADS 256
+
 /* One search per seed, over one set of occurrence lists.
  *
  * n, m:         variables and clauses; clause c holds the packed literals
@@ -513,29 +631,77 @@ static int search(solver *s, frame *frames, int heuristic, int64_t *out,
  * cloud:        NULL, or set to a buffer the caller releases with sg_free:
  *               every search's q_splits (assigned, C2, C3) triples, back
  *               to back in seed order
+ * nthreads:     the most threads to run the searches on
  *
- * Returns 0, or the first negative SG_ code, which leaves *cloud NULL. */
+ * The seeds are cut into contiguous ranges, one per thread, at multiples
+ * of LANES so that only the last range has a tail that is seeded one seed
+ * at a time; there are at most count / LANES ranges, and at least one.
+ * The caller runs the first range; the others run on threads started with
+ * pthread_create and joined before the call returns, and a range whose
+ * thread cannot be started runs on the caller after the others.  Every
+ * search writes only its own row, assignment bytes and range's cloud, with
+ * the draws it makes alone, so nothing depends on the thread count.
+ *
+ * Returns 0, or the negative SG_ code of the first failing range in seed
+ * order (the code of the first failing seed), which leaves *cloud NULL. */
 int sg_search(int32_t n, int32_t m, const int32_t *lits, const int32_t *start,
               int32_t heuristic, int32_t count, const uint64_t *seeds,
-              int64_t *out, uint8_t *assignments, int32_t **cloud)
+              int64_t *out, uint8_t *assignments, int32_t **cloud,
+              int32_t nthreads)
 {
-    solver s;
-    frame *frames = setup(&s, n, m, lits, start, heuristic);
-    cloud_buf points = {NULL, 0, 0};
-    int rc = frames ? SG_OK : SG_NOMEM;
-
-    for (int32_t i = 0; rc == SG_OK && i < count; i++) {
-        int64_t *row = out + 6 * (int64_t)i;
-        reset(&s, seeds[i]);
-        rc = search(&s, frames, heuristic, row, cloud ? &points : NULL);
-        if (rc == SG_OK && row[0])
-            memcpy(assignments + (size_t)n * i, s.values, (size_t)n);
+    batch b = {n, m, lits, start, heuristic, seeds, out, assignments, cloud != NULL};
+    int64_t blocks = count / LANES;
+    if (nthreads > blocks)
+        nthreads = (int32_t)blocks;
+    if (nthreads > MAX_THREADS)
+        nthreads = MAX_THREADS;
+    if (nthreads < 1)
+        nthreads = 1;
+    range ranges[MAX_THREADS];
+    pthread_t tid[MAX_THREADS];
+    int started[MAX_THREADS];
+    for (int32_t t = 0; t < nthreads; t++)
+        ranges[t] = (range){&b, (int32_t)(LANES * (blocks * t / nthreads)),
+                            t + 1 < nthreads
+                                ? (int32_t)(LANES * (blocks * (t + 1) / nthreads))
+                                : count,
+                            {NULL, 0, 0}, SG_OK};
+    for (int32_t t = 1; t < nthreads; t++)
+        started[t] = pthread_create(&tid[t], NULL, run_range, &ranges[t]) == 0;
+    run_range(&ranges[0]);
+    for (int32_t t = 1; t < nthreads; t++) {
+        if (started[t])
+            pthread_join(tid[t], NULL);
+        else
+            run_range(&ranges[t]);
     }
-    free(s.occ_start);
+
+    int rc = SG_OK;
+    int64_t total = 0;
+    for (int32_t t = 0; t < nthreads; t++) {
+        if (rc == SG_OK)
+            rc = ranges[t].rc;
+        total += ranges[t].cloud.n;
+    }
+    cloud_buf *all = &ranges[0].cloud;
+    if (rc == SG_OK && total > all->cap) {
+        int32_t *p = realloc(all->pts, (size_t)total * 3 * sizeof(int32_t));
+        if (p)
+            all->pts = p;
+        else
+            rc = SG_NOMEM;
+    }
+    for (int32_t t = 1; t < nthreads; t++) {
+        cloud_buf *part = &ranges[t].cloud;
+        if (rc == SG_OK && part->n)
+            memcpy(all->pts + 3 * all->n, part->pts, (size_t)part->n * 3 * sizeof(int32_t));
+        all->n += part->n;
+        free(part->pts);
+    }
     if (rc != SG_OK)
-        free(points.pts);
+        free(all->pts);
     if (cloud)
-        *cloud = rc == SG_OK ? points.pts : NULL;
+        *cloud = rc == SG_OK ? all->pts : NULL;
     return rc;
 }
 

@@ -16,13 +16,16 @@ load a half-written library.  A build is never removed: each version of the
 sources keeps its own small library, so checkouts of different sources can
 share one cache, and deleting the cache directory clears it.  The annealed
 passes are the AVX2 entry pair when the CPU has AVX2, else the baseline
-pair, on up to usable_cpus() threads; all give the same bits.  When no
-compiler is found, the compile fails or the cache is not writable, load()
-returns None after one warning per process that names every reference code
-path, and each layer runs its Python or numpy reference.
+pair; both give the same bits.  When no compiler is found, the compile
+fails or the cache is not writable, load() returns None after one warning
+per process that names every reference code path, and each layer runs its
+Python or numpy reference.
 
-usable_cpus() is the one count of the CPUs this process may run on: it
-sizes the annealed passes' threads and caps run_ensemble's process pool.
+usable_cpus() is the one count of the CPUs this process may run on.
+load() binds it once as the library's `threads`, the most threads that a
+search batch (split into contiguous seed ranges) or an annealed pass (split
+into contiguous destination rows) runs on, and it caps run_ensemble's
+process pool.
 """
 
 import ctypes
@@ -46,6 +49,9 @@ _REFERENCE_PATHS = ("the Python DPLL search, Monte Carlo and instance "
                     "Python closure walk")
 
 HEURISTIC_CODES = {"UC": 0, "GUC": 1, "SC1": 2}
+# seeds a search call gives each of its threads at least: four blocks of
+# the 16 that the kernel seeds at once
+THREAD_SEEDS = 64
 # sg_search return codes
 _ERRORS = {-1: (MemoryError, "DPLL kernel out of memory"),
            -2: (AssertionError, "unit clause without a free literal"),
@@ -100,17 +106,14 @@ def _build(cc: str) -> Path:
 
 
 class AnnealedPasses(NamedTuple):
-    """The annealed kernel's two entry points, as bound ctypes functions,
-    and the most threads a pass may split its rows across."""
+    """The annealed kernel's two entry points, as bound ctypes functions."""
     thin: Callable
     convert: Callable
     avx2: bool
-    threads: int
 
 
-def _annealed_passes(lib, avx2: bool, threads: int) -> AnnealedPasses:
-    """The AVX2 or the baseline entry pair of the annealed kernel in `lib`,
-    run on up to `threads` threads."""
+def _annealed_passes(lib, avx2: bool) -> AnnealedPasses:
+    """The AVX2 or the baseline entry pair of the annealed kernel in `lib`."""
     suffix = "_avx2" if avx2 else ""
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     thin = getattr(lib, "sg_thin" + suffix)
@@ -119,7 +122,7 @@ def _annealed_passes(lib, avx2: bool, threads: int) -> AnnealedPasses:
     convert = getattr(lib, "sg_convert" + suffix)
     convert.argtypes = [ptr, ptr, i64, i64, i64, i64, i64, ptr, i64, i64]
     convert.restype = None
-    return AnnealedPasses(thin, convert, avx2, threads)
+    return AnnealedPasses(thin, convert, avx2)
 
 
 class _Closure(ctypes.Structure):
@@ -136,9 +139,10 @@ class _Closure(ctypes.Structure):
 @functools.lru_cache(maxsize=None)
 def load():
     """The compiled library, or None when it cannot be built here.  Every
-    sg_* entry point has its argument and return types bound, and the
-    library's `passes` is the annealed pass pair (AnnealedPasses) that this
-    process runs."""
+    sg_* entry point has its argument and return types bound, the library's
+    `passes` is the annealed pass pair (AnnealedPasses) that this process
+    runs, and its `threads` is usable_cpus(), the most threads that a
+    search batch or an annealed pass splits its work across."""
     cc = _compiler()
     if cc is None:
         return _fallback("no C compiler (gcc) found")
@@ -150,7 +154,7 @@ def load():
         return _fallback(f"cannot build or load the kernels: {exc}")
     i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
     lib.sg_search.argtypes = [i32, i32, ptr, ptr, i32, i32, ptr, ptr,
-                              ctypes.c_char_p, ctypes.POINTER(ctypes.POINTER(i32))]
+                              ctypes.c_char_p, ctypes.POINTER(ctypes.POINTER(i32)), i32]
     lib.sg_search.restype = ctypes.c_int
     lib.sg_generate.argtypes = [i32, i64, i64, ptr, i32, ptr, ptr]
     lib.sg_generate.restype = None
@@ -164,7 +168,8 @@ def load():
     lib.sg_closure_free.restype = None
     lib.sg_has_avx2.argtypes = []
     lib.sg_has_avx2.restype = ctypes.c_int
-    lib.passes = _annealed_passes(lib, bool(lib.sg_has_avx2()), usable_cpus())
+    lib.passes = _annealed_passes(lib, bool(lib.sg_has_avx2()))
+    lib.threads = usable_cpus()
     return lib
 
 
@@ -191,15 +196,24 @@ def search(lib, n_vars: int, lits, start, heuristic: str, mixed_seeds: List[int]
     assignments holds n_vars value bytes per seed, set where the search is
     sat and zero elsewhere; cloud lists every search's split-node
     (assigned, C2, C3) triples in seed order, or nothing without
-    record_cloud."""
+    record_cloud.
+
+    The kernel seeds each full block of 16 seeds with one MT19937 mixing
+    pass over 16 states at once, and splits the seeds into contiguous
+    ranges on up to lib.threads threads, at least THREAD_SEEDS seeds each,
+    so a single solve and a short batch run on the calling thread.  Every
+    search makes the draws it makes alone: the results do not depend on
+    the batch, the block or the thread count."""
     seeds = array("Q", mixed_seeds)
+    threads = max(1, min(lib.threads, len(seeds) // THREAD_SEEDS))
     rows = array("q", bytes(48 * len(seeds)))
     assignments = ctypes.create_string_buffer(n_vars * len(seeds))
     cloud = ctypes.POINTER(ctypes.c_int32)()
     _check(lib.sg_search(n_vars, len(start) - 1, lits.buffer_info()[0],
                          start.buffer_info()[0], HEURISTIC_CODES[heuristic],
                          len(seeds), seeds.buffer_info()[0], rows.buffer_info()[0],
-                         assignments, ctypes.byref(cloud) if record_cloud else None))
+                         assignments, ctypes.byref(cloud) if record_cloud else None,
+                         threads))
     triples = []
     if cloud:
         flat = cloud[:3 * sum(rows[1::6])]

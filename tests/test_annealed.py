@@ -287,11 +287,17 @@ _THREADS = (1, 2, 3, 7)
 
 @pytest.fixture(scope="module")
 def entry_pairs(kernel):
-    """The annealed entry pairs this CPU runs, on each of _THREADS threads:
-    the baseline pair, and the AVX2 pair when the CPU has AVX2."""
+    """The annealed entry pairs this CPU runs, each keyed with each of
+    _THREADS: the baseline pair, and the AVX2 pair when the CPU has AVX2."""
     isas = ("baseline", "avx2") if kernel.passes.avx2 else ("baseline",)
-    return {(isa, threads): native._annealed_passes(kernel, isa == "avx2", threads)
+    return {(isa, threads): native._annealed_passes(kernel, isa == "avx2")
             for isa in isas for threads in _THREADS}
+
+
+def _use(m, name, passes):
+    """Make the library run `passes` on the thread count in `name`."""
+    m.setattr(native.load(), "passes", passes)
+    m.setattr(native.load(), "threads", name[1])
 
 
 def test_kernel_chains_match_numpy(entry_pairs, monkeypatch, reference):
@@ -300,7 +306,7 @@ def test_kernel_chains_match_numpy(entry_pairs, monkeypatch, reference):
     compiled = {}
     for name, passes in entry_pairs.items():
         with monkeypatch.context() as m:
-            m.setattr(native.load(), "passes", passes)
+            _use(m, name, passes)
             compiled[name] = [_chain(a0, n, **kw) for a0, n, kw in _DIFF_CASES]
     for i, (a0, n, kw) in enumerate(_DIFF_CASES):
         with reference():
@@ -367,7 +373,7 @@ def test_kernel_passes_match_numpy(entry_pairs, monkeypatch, reference):
     compiled = {}
     for name, passes in entry_pairs.items():
         with monkeypatch.context() as m:
-            m.setattr(native.load(), "passes", passes)
+            _use(m, name, passes)
             outs = []
             for fn, arr, weights, axis, thread_cells, _, _ in cases:
                 m.setattr(annealed, "THREAD_CELLS", thread_cells)
@@ -397,8 +403,8 @@ def test_pass_threads_end_with_the_call(entry_pairs, monkeypatch):
     fn, arr, axis = _large_pass_cases()[0]
     weights = annealed._pass_weights(np.arange(arr.shape[axis], dtype=float),
                                      0.3, 1e-14)
-    monkeypatch.setattr(native.load(), "passes",
-                        entry_pairs[("baseline", max(_THREADS))])
+    name = ("baseline", max(_THREADS))
+    _use(monkeypatch, name, entry_pairs[name])
     fn(arr, weights, axis)
     before = len(os.listdir(tasks))
     for _ in range(3):

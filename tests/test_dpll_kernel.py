@@ -3,8 +3,9 @@
 The kernel must reproduce the reference search bit for bit: equal SolveStats
 (result, counters, cloud, g-node, assignment) on every (instance, seed)
 pair, equal leaf counts from a batch of searches, and equal generated
-instances.  One kernel search call over many seeds must give each seed what
-a call with that seed alone gives.  Without a C compiler the comparison
+instances.  One kernel search call over many seeds, seeded 16 at a time
+and split into seed ranges on any number of threads, must give each seed
+what a call with that seed alone gives.  Without a C compiler the comparison
 cannot run and the module skips; with one, a kernel that fails to build
 fails the tests.
 """
@@ -157,6 +158,74 @@ def test_search_batch_rows_match_single_seed_calls(kernel):
     assert results == {0, 1}
 
 
+# thread counts of the search batches under test, whatever the host's core
+# count: one, an even and an odd split
+_THREADS = (1, 2, 3)
+
+
+def test_search_lanes_and_ranges_match_single_seed_calls(kernel, monkeypatch):
+    # batches seeded 16 at a time and split into seed ranges give each seed
+    # what the one-seed path (seeded alone) gives.  The batch sizes cross
+    # the block and range edges; the five key-length edge seeds, one- and
+    # two-word keys side by side, sit in the first block of every batch of
+    # 16 or more, and in the tail of the shorter ones.
+    sizes = (0, 1, 15, 16, 17, 63, 64, 65, 129, dpll.LEAF_BATCH)
+    edges = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    seeds = [dpll._mix_seed(s) for s in range(dpll.LEAF_BATCH)]
+    seeds[3:3 + len(edges)] = edges
+    instances = [I1, I3, generate_random_instance(8, 0, 60, 39300),
+                 generate_random_instance(12, 2, 30, 39301)]
+    results = set()
+    for inst in instances:
+        n = inst.n_vars
+        for h in dpll.HEURISTICS:
+            args = (kernel, n, inst.lits, inst.starts, h)
+            single = [native.search(*args, [seed], True) for seed in seeds]
+            results.update(row[0] for row, _, _ in single)
+            for threads in _THREADS:
+                monkeypatch.setattr(kernel, "threads", threads)
+                for size in sizes:
+                    for record_cloud in (True, False):
+                        rows, values, cloud = native.search(*args, seeds[:size],
+                                                            record_cloud)
+                        assert len(rows) == 6 * size and len(values) == n * size
+                        offset = 0
+                        for i, (row, value, points) in enumerate(single[:size]):
+                            where = (inst, h, threads, size, record_cloud, i)
+                            assert rows[6 * i:6 * i + 6] == row, where
+                            assert values[n * i:n * i + n] == value, where
+                            if record_cloud:
+                                assert cloud[offset:offset + row[1]] == points, where
+                            offset += row[1]
+                        assert len(cloud) == (offset if record_cloud else 0)
+    assert results == {0, 1}
+
+
+def test_search_splits_batches_into_ranges(kernel, monkeypatch):
+    # a batch uses one thread per THREAD_SEEDS seeds, up to the library's
+    # bound count; the other threads end with the call
+    assert kernel.threads == native.usable_cpus()
+    tasks = "/proc/self/task"
+    inst = generate_random_instance(8, 0, 60, 39300)
+    args = (kernel, 8, inst.lits, inst.starts, "GUC")
+    seeds = [dpll._mix_seed(s) for s in range(dpll.LEAF_BATCH)]
+    calls = []
+    search = kernel.sg_search
+
+    def spy(*argv):
+        calls.append(argv[-1])  # the thread count
+        return search(*argv)
+    monkeypatch.setattr(kernel, "sg_search", spy)
+    monkeypatch.setattr(kernel, "threads", 3)
+    before = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+    for size in (1, native.THREAD_SEEDS - 1, 2 * native.THREAD_SEEDS,
+                 dpll.LEAF_BATCH):
+        native.search(*args, seeds[:size], False)
+    assert calls == [1, 1, 2, 3]
+    if before is not None:
+        assert len(os.listdir(tasks)) == before
+
+
 def test_unsatisfying_assignment_raises():
     # the kernel's check of a sat assignment reports as the reference's does
     with pytest.raises(AssertionError, match="non-satisfying assignment"):
@@ -171,6 +240,17 @@ def test_monte_carlo_mean_matches_reference(kernel, reference):
         got = oracle.monte_carlo_leaf_mean(*args)
         with reference():
             assert oracle.monte_carlo_leaf_mean(*args) == got, args[1:]
+
+
+def test_monte_carlo_mean_independent_of_threads(kernel, monkeypatch):
+    # the same mean and SE on one thread as on the library's bound count
+    inst = generate_random_instance(8, 0, 60, 39100)
+    for h in dpll.HEURISTICS:
+        args = (inst, h, 2 * dpll.LEAF_BATCH + 100, 13)
+        bound = oracle.monte_carlo_leaf_mean(*args)
+        with monkeypatch.context() as m:
+            m.setattr(kernel, "threads", 1)
+            assert oracle.monte_carlo_leaf_mean(*args) == bound, h
 
 
 def test_toy_instances_match(kernel, reference):

@@ -110,6 +110,24 @@ def test_cli_oracle(tmp_path, capsys, monkeypatch):
     assert lines[3] == "monte carlo leaves: 4.506000 +- 0.030689 (500 runs)"
 
 
+def test_cli_oracle_rejects_negative_mc(tmp_path, capsys):
+    # a negative trial count is refused when the arguments are parsed,
+    # before the operator is built; 0 keeps the Monte Carlo check off
+    cnf_path = str(tmp_path / "small.cnf")
+    cli.main(["gen", "--n-vars", "6", "--n3", "38", "--seed", "11",
+              "--out", cnf_path])
+    capsys.readouterr()
+    for mc in ("-5", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", cnf_path, "--mc", mc])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--mc: must be 0 or more" in captured.err, mc
+    assert cli.main(["oracle", cnf_path, "--mc", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "B(T):" in out and "monte carlo" not in out
+
+
 def test_cli_error_exit(tmp_path, capsys):
     assert cli.main(["oracle", "/nonexistent/file.cnf"]) == 1
     assert "error:" in capsys.readouterr().err
