@@ -43,9 +43,10 @@ and the passes' weight tables (_pass_weights), always with numpy; a step
 builds each table once.  The multiply-adds run in the C kernel
 annealed_kernel.c, which native.load() builds with the other kernels and
 binds (as its `passes`) to the AVX2 entry points when the CPU has AVX2, else
-to the baseline ones.  A pass with at least THREAD_CELLS destination cells per
-thread splits its destination rows across up to the library's `threads`
-(native.usable_cpus()), each cell computed by one of them.  When the kernel
+to the baseline ones.  A pass splits its destination rows across
+native.thread_count threads, at least THREAD_CELLS destination cells each
+and up to the library's `threads` (native.usable_cpus()), each cell
+computed by one of them.  When the kernel
 cannot be built the passes run in the numpy loops of
 _thin_pass/_convert_pass, which are the readable reference.  Every backend and thread count adds each
 cell's terms in the same order, so fields, mass curves and omegas are
@@ -229,12 +230,6 @@ def _check_pass(arr: np.ndarray, weights: np.ndarray, axis: int,
                          f"with a {weights.shape} weight table")
 
 
-def _threads(lib, cells: int) -> int:
-    """Threads for a compiled pass with `cells` destination cells: at least
-    THREAD_CELLS cells each, at most lib.threads."""
-    return max(1, min(lib.threads, cells // THREAD_CELLS))
-
-
 def _thin_pass(arr: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
     """Population thinning along `axis`: dst = src - j, j ~ Bin(src, p),
     with `weights` the _pass_weights table of the populations along that
@@ -256,7 +251,8 @@ def _thin_pass(arr: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
     out = np.zeros(src.shape)
     lib.passes.thin(src.ctypes.data, out.ctypes.data, math.prod(src.shape[:axis]),
                     src.shape[axis], math.prod(src.shape[axis + 1:]),
-                    weights.ctypes.data, len(weights), _threads(lib, out.size))
+                    weights.ctypes.data, len(weights),
+                    native.thread_count(lib, out.size, THREAD_CELLS))
     return out
 
 
@@ -286,7 +282,8 @@ def _convert_pass(arr: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray
                        math.prod(src.shape[:axis - 1]), src.shape[axis - 1],
                        shape[axis - 1], src.shape[axis],
                        math.prod(src.shape[axis + 1:]), weights.ctypes.data,
-                       len(weights), _threads(lib, out.size))
+                       len(weights),
+                       native.thread_count(lib, out.size, THREAD_CELLS))
     return out
 
 

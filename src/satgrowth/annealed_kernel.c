@@ -18,20 +18,21 @@
    Each call splits its destination rows into nthreads contiguous ranges,
    one per thread: the (o, r) rows of a thinning pass (single cells when
    inner == 1), so that a window with one outer row still divides, and the
-   (o, y) rows of a conversion pass.  The calling thread runs the first
-   range; the others run on threads started with pthread_create and joined
-   before the call returns, so no thread outlives it and nothing stays
-   behind to trip over a later fork.  A thread only reads the source and
-   the table and writes the cells of its own rows, each cell by exactly one
-   thread with the same terms in the same order, so the bits do not depend
-   on nthreads.  When a thread cannot be started, the caller runs its range
-   after the others. */
+   (o, y) rows of a conversion pass.  sg_fan_out (dpll_kernel.c) runs the
+   ranges: the first on the calling thread, the others on threads joined
+   before the call returns, so no thread outlives it.  A thread only reads
+   the source and the table and writes the cells of its own rows, each cell
+   by exactly one thread with the same terms in the same order, so the bits
+   do not depend on nthreads. */
 
-#include <pthread.h>
+#include <stddef.h>
 #include <stdint.h>
 
 #define BLOCK 8
-#define MAX_THREADS 256
+
+/* Defined in dpll_kernel.c. */
+extern const int32_t sg_max_threads;
+void sg_fan_out(void *(*run)(void *), void *tasks, size_t size, int32_t n);
 
 /* Cells r_lo .. r_hi - 1 of one destination row of len cells spaced `inner`
    apart (inner == 1) or of len rows of inner cells each (inner > 1):
@@ -167,27 +168,15 @@ static void split(rows_fn *rows, const struct pass *p, int64_t n_rows,
         return;
     if (nthreads > n_rows)
         nthreads = n_rows;
-    if (nthreads > MAX_THREADS)
-        nthreads = MAX_THREADS;
-    if (nthreads <= 1) {
-        rows(p, 0, n_rows);
-        return;
-    }
-    struct range ranges[MAX_THREADS];
-    pthread_t tid[MAX_THREADS];
-    int started[MAX_THREADS];
+    if (nthreads > sg_max_threads)
+        nthreads = sg_max_threads;
+    if (nthreads < 1)
+        nthreads = 1;
+    struct range ranges[nthreads];
     for (int64_t t = 0; t < nthreads; t++)
         ranges[t] = (struct range){rows, p, n_rows * t / nthreads,
                                    n_rows * (t + 1) / nthreads};
-    for (int64_t t = 1; t < nthreads; t++)
-        started[t] = pthread_create(&tid[t], NULL, run_range, &ranges[t]) == 0;
-    run_range(&ranges[0]);
-    for (int64_t t = 1; t < nthreads; t++) {
-        if (started[t])
-            pthread_join(tid[t], NULL);
-        else
-            run_range(&ranges[t]);
-    }
+    sg_fan_out(run_range, ranges, sizeof *ranges, (int32_t)nthreads);
 }
 
 /* The exported entry points: the same loops compiled for the baseline

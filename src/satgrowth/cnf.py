@@ -266,9 +266,10 @@ def write_dimacs(instance: Instance, path_or_file) -> None:
 
 
 def read_dimacs(path_or_file) -> Instance:
-    """Parse DIMACS CNF.  Rejects clauses longer than 3 literals, an instance
-    without variables, and a header whose clause count the file does not
-    hold."""
+    """Parse DIMACS CNF up to the end or a `%` line (SATLIB's end marker).
+    Rejects an empty clause, a second header, clauses longer than 3
+    literals, an instance without variables, and a header whose clause
+    count the file does not hold."""
     own = isinstance(path_or_file, (str, bytes))
     fh = open(path_or_file) if own else path_or_file
     try:
@@ -276,25 +277,30 @@ def read_dimacs(path_or_file) -> Instance:
         n_declared = None
         clauses = []
         pending: List[int] = []
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
-            if not line or line.startswith(("c", "%")):
+            if line.startswith("%"):
+                break
+            if not line or line.startswith("c"):
                 continue
             if line.startswith("p"):
                 parts = line.split()
                 if len(parts) < 4 or parts[1] != "cnf":
                     raise ValueError(f"bad DIMACS header: {line!r}")
+                if n_declared is not None:
+                    raise ValueError(f"second DIMACS header on line {lineno}")
                 n_vars = int(parts[2])
                 n_declared = int(parts[3])
                 continue
             for tok in line.split():
                 v = int(tok)
-                if v == 0:
-                    if pending:
-                        clauses.append(clause(*pending))
-                        pending = []
-                else:
+                if v:
                     pending.append(v)
+                elif pending:
+                    clauses.append(clause(*pending))
+                    pending = []
+                else:
+                    raise ValueError(f"empty DIMACS clause on line {lineno}")
         if pending:
             clauses.append(clause(*pending))
         if n_declared is not None and n_declared != len(clauses):

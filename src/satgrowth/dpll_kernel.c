@@ -617,7 +617,29 @@ static void *run_range(void *arg)
     return NULL;
 }
 
-#define MAX_THREADS 256
+/* The most tasks, and so threads, of one sg_fan_out call. */
+const int32_t sg_max_threads = 256;
+
+/* The library's one thread lifecycle, which annealed_kernel.c uses too:
+   runs run(task) on each of the n (1 <= n <= sg_max_threads) tasks of
+   `size` bytes at `tasks`, task 0 on the caller and the others on threads
+   joined before the call returns, so no thread outlives it.  A task whose
+   thread cannot be started runs on the caller after the others. */
+void sg_fan_out(void *(*run)(void *), void *tasks, size_t size, int32_t n)
+{
+    char *task = tasks;
+    pthread_t tid[n];
+    int started[n];
+    for (int32_t t = 1; t < n; t++)
+        started[t] = pthread_create(&tid[t], NULL, run, task + t * size) == 0;
+    run(task);
+    for (int32_t t = 1; t < n; t++) {
+        if (started[t])
+            pthread_join(tid[t], NULL);
+        else
+            run(task + t * size);
+    }
+}
 
 /* One search per seed, over one set of occurrence lists.
  *
@@ -636,11 +658,9 @@ static void *run_range(void *arg)
  * The seeds are cut into contiguous ranges, one per thread, at multiples
  * of LANES so that only the last range has a tail that is seeded one seed
  * at a time; there are at most count / LANES ranges, and at least one.
- * The caller runs the first range; the others run on threads started with
- * pthread_create and joined before the call returns, and a range whose
- * thread cannot be started runs on the caller after the others.  Every
- * search writes only its own row, assignment bytes and range's cloud, with
- * the draws it makes alone, so nothing depends on the thread count.
+ * sg_fan_out runs them, the first on the caller.  Every search writes only
+ * its own row, assignment bytes and range's cloud, with the draws it makes
+ * alone, so nothing depends on the thread count.
  *
  * Returns 0, or the negative SG_ code of the first failing range in seed
  * order (the code of the first failing seed), which leaves *cloud NULL. */
@@ -653,28 +673,18 @@ int sg_search(int32_t n, int32_t m, const int32_t *lits, const int32_t *start,
     int64_t blocks = count / LANES;
     if (nthreads > blocks)
         nthreads = (int32_t)blocks;
-    if (nthreads > MAX_THREADS)
-        nthreads = MAX_THREADS;
+    if (nthreads > sg_max_threads)
+        nthreads = sg_max_threads;
     if (nthreads < 1)
         nthreads = 1;
-    range ranges[MAX_THREADS];
-    pthread_t tid[MAX_THREADS];
-    int started[MAX_THREADS];
+    range ranges[nthreads];
     for (int32_t t = 0; t < nthreads; t++)
         ranges[t] = (range){&b, (int32_t)(LANES * (blocks * t / nthreads)),
                             t + 1 < nthreads
                                 ? (int32_t)(LANES * (blocks * (t + 1) / nthreads))
                                 : count,
                             {NULL, 0, 0}, SG_OK};
-    for (int32_t t = 1; t < nthreads; t++)
-        started[t] = pthread_create(&tid[t], NULL, run_range, &ranges[t]) == 0;
-    run_range(&ranges[0]);
-    for (int32_t t = 1; t < nthreads; t++) {
-        if (started[t])
-            pthread_join(tid[t], NULL);
-        else
-            run_range(&ranges[t]);
-    }
+    sg_fan_out(run_range, ranges, sizeof *ranges, nthreads);
 
     int rc = SG_OK;
     int64_t total = 0;

@@ -2,14 +2,14 @@
 statistics, and the finite-size extrapolation of the growth exponent omega.
 
 Seeds are derived per (N, trial) by hashing, so results are reproducible and
-independent of worker scheduling; records merge in deterministic key order.
+independent of thread scheduling; records merge in deterministic key order.
 """
 
 import csv
 import hashlib
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -32,7 +32,7 @@ class EnsembleConfig:
     trials_per_n: int
     base_seed: int = 0
     heuristic: str = GUC
-    parallelism: Optional[int] = None   # worker processes; None: usable CPUs
+    parallelism: Optional[int] = None   # pool threads; None: usable CPUs
 
     def __post_init__(self):
         check_alpha0(self.alpha0)
@@ -64,51 +64,39 @@ _CSV_FIELDS = ["n_vars", "trial", "seed", "result", "q_splits", "b_leaves",
                "runtime_s", "g_p", "g_alpha", "g_t"]
 
 
-def _run_block(args) -> List[RunRecord]:
-    alpha0, heuristic, n, t0, t1, base_seed = args
-    out = []
-    n3 = int(round(alpha0 * n))
-    for trial in range(t0, t1):
-        gen_seed = derive_seed(base_seed, "gen", n, trial)
-        solve_seed = derive_seed(base_seed, "solve", n, trial)
-        instance = generate_random_instance(n, 0, n3, gen_seed)
-        start = time.perf_counter()
-        stats = dpll.solve(instance, heuristic, solve_seed, record_cloud=False)
-        elapsed = time.perf_counter() - start
-        g = stats.g_node
-        out.append(RunRecord(n, trial, solve_seed, stats.result, stats.q_splits,
-                             stats.b_leaves, elapsed,
-                             None if g is None else g.p,
-                             None if g is None else g.alpha,
-                             None if g is None else g.t))
-    return out
+def _run_trial(config: EnsembleConfig, n: int, trial: int) -> RunRecord:
+    gen_seed = derive_seed(config.base_seed, "gen", n, trial)
+    solve_seed = derive_seed(config.base_seed, "solve", n, trial)
+    instance = generate_random_instance(n, 0, int(round(config.alpha0 * n)),
+                                        gen_seed)
+    start = time.perf_counter()
+    stats = dpll.solve(instance, config.heuristic, solve_seed, record_cloud=False)
+    elapsed = time.perf_counter() - start
+    # the g-node's (p, alpha, t), or None for each without one
+    return RunRecord(n, trial, solve_seed, stats.result, stats.q_splits,
+                     stats.b_leaves, elapsed, *(stats.g_node or (None,) * 3))
 
 
 def run_ensemble(config: EnsembleConfig) -> List[RunRecord]:
-    """One fresh instance and one solve per (N, trial); deterministic under a
-    fixed base seed regardless of the worker count (write_records_csv saves
-    them).  The pool has at most native.usable_cpus() workers, however many
-    `parallelism` asks for.  Blocks go to the pool largest N first, so the
-    longest solves do not start last and leave workers idle at the end.
-    The compiled library is loaded here, before the pool forks, so every
-    worker inherits it instead of loading (or, with a cold cache, compiling)
-    its own."""
+    """One fresh instance and one solve per (N, trial), deterministic under a
+    fixed base seed whatever the thread count (write_records_csv saves
+    them).  The trials run on a pool of at most native.usable_cpus() threads
+    and one per trial, however many `parallelism` asks for: each draw and
+    search is a kernel call that releases the GIL (the Python reference
+    holds it, so without the kernel the trials share one core).  They are
+    queued largest N first, so the longest solves do not start last and
+    leave threads idle; runtime_s may include waits for the GIL.  The
+    library is loaded before the pool starts, so that its threads do not
+    race to build it."""
     native.load()
     usable = native.usable_cpus()
-    workers = min(config.parallelism or usable, usable)
-    blocks = []
-    for n in reversed(config.n_values):
-        step = max(1, math.ceil(config.trials_per_n / (4 * workers)))
-        for t0 in range(0, config.trials_per_n, step):
-            blocks.append((config.alpha0, config.heuristic, n, t0,
-                           min(t0 + step, config.trials_per_n), config.base_seed))
-    if workers > 1 and len(blocks) > 1:
-        # the pool forks all of its workers up front, so none beyond the blocks
-        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            results = list(pool.map(_run_block, blocks))
-    else:
-        results = [_run_block(b) for b in blocks]
-    records = [rec for block in results for rec in block]
+    keys = [(n, trial) for n in reversed(config.n_values)
+            for trial in range(config.trials_per_n)]
+    pool = ThreadPoolExecutor(min(config.parallelism or usable, usable, len(keys)))
+    try:
+        records = list(pool.map(lambda key: _run_trial(config, *key), keys))
+    finally:
+        pool.shutdown(cancel_futures=True)
     records.sort(key=lambda r: (r.n_vars, r.trial))
     return records
 

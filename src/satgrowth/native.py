@@ -25,7 +25,8 @@ usable_cpus() is the one count of the CPUs this process may run on.
 load() binds it once as the library's `threads`, the most threads that a
 search batch (split into contiguous seed ranges) or an annealed pass (split
 into contiguous destination rows) runs on, and it caps run_ensemble's
-process pool.
+thread pool.  thread_count() is the one rule for how many threads a kernel
+call gets.
 """
 
 import ctypes
@@ -64,6 +65,12 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def thread_count(lib, work: int, per_thread: int) -> int:
+    """Threads for a kernel call over `work` units: at least `per_thread`
+    units each, at most lib.threads, and at least one."""
+    return max(1, min(lib.threads, work // per_thread))
 
 
 def _compiler():
@@ -205,7 +212,6 @@ def search(lib, n_vars: int, lits, start, heuristic: str, mixed_seeds: List[int]
     search makes the draws it makes alone: the results do not depend on
     the batch, the block or the thread count."""
     seeds = array("Q", mixed_seeds)
-    threads = max(1, min(lib.threads, len(seeds) // THREAD_SEEDS))
     rows = array("q", bytes(48 * len(seeds)))
     assignments = ctypes.create_string_buffer(n_vars * len(seeds))
     cloud = ctypes.POINTER(ctypes.c_int32)()
@@ -213,7 +219,7 @@ def search(lib, n_vars: int, lits, start, heuristic: str, mixed_seeds: List[int]
                          start.buffer_info()[0], HEURISTIC_CODES[heuristic],
                          len(seeds), seeds.buffer_info()[0], rows.buffer_info()[0],
                          assignments, ctypes.byref(cloud) if record_cloud else None,
-                         threads))
+                         thread_count(lib, len(seeds), THREAD_SEEDS)))
     triples = []
     if cloud:
         flat = cloud[:3 * sum(rows[1::6])]

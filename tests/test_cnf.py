@@ -159,6 +159,23 @@ def test_dimacs_rejects_long_clauses():
         read_dimacs(io.StringIO("p cnf 4294967298 1\n5 0\n"))
     with pytest.raises(ValueError, match="out of range"):
         read_dimacs(io.StringIO("p cnf 3 1\n3000000000 0\n"))
+    # a lone 0 is the empty clause, which would make the instance unsat
+    for text, line in (("1 2 0\n0\n-1 0\n", 2),
+                       ("p cnf 2 3\n1 2 0\n0\n-1 0\n", 3),
+                       ("c x\np cnf 2 2\n1 2 0 0\n-1 0\n", 3)):
+        with pytest.raises(ValueError, match=f"empty DIMACS clause on line {line}$"):
+            read_dimacs(io.StringIO(text))
+    with pytest.raises(ValueError, match="second DIMACS header on line 3$"):
+        read_dimacs(io.StringIO("p cnf 3 1\n1 2 0\np cnf 3 2\n1 3 0\n"))
+
+
+def test_dimacs_stops_at_the_end_marker():
+    # SATLIB files end with a % line and a lone 0
+    inst = read_dimacs(io.StringIO("c uf3\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n%\n0\n\n"))
+    assert inst.n_vars == 3
+    assert inst.clauses() == [clause(1, -2, 3), clause(-1, 2)]
+    with pytest.raises(ValueError, match="declares 2 clauses, the file holds 1"):
+        read_dimacs(io.StringIO("p cnf 3 2\n1 2 0\n%\n-1 0\n"))
 
 
 def test_clause_builder_validation():

@@ -1,5 +1,7 @@
 import hashlib
+import os
 import random
+import time
 
 import pytest
 
@@ -36,16 +38,27 @@ def test_config_validation():
 
 
 def test_worker_count_independent():
+    # the same records on 1, 2 and 3 threads; the pool joins its threads
+    # before run_ensemble returns, but CPython marks a joined thread done
+    # just before the thread exits, so its /proc entry may linger a moment
+    tasks = "/proc/self/task"
+    before = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
     base = dict(alpha0=5.0, n_values=[14, 18], trials_per_n=20, base_seed=9)
     seq = run_ensemble(EnsembleConfig(**base, parallelism=1))
-    par = run_ensemble(EnsembleConfig(**base, parallelism=2))
-    assert _strip_runtime(seq) == _strip_runtime(par)
+    for parallelism in (2, 3):
+        par = run_ensemble(EnsembleConfig(**base, parallelism=parallelism))
+        assert _strip_runtime(seq) == _strip_runtime(par), parallelism
+    if before is not None:
+        deadline = time.monotonic() + 5.0
+        while len(os.listdir(tasks)) != before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(os.listdir(tasks)) == before
 
 
 def test_kernel_loaded_before_the_pool_forks(fresh_load):
-    # the parent loads the DPLL kernel once and its workers inherit it; the
-    # records keep the digest they had when each worker loaded its own
-    # kernel and instances were drawn in Python
+    # run_ensemble loads the DPLL kernel once, before its pool starts; the
+    # records keep the digest they had when each worker process loaded its
+    # own kernel and instances were drawn in Python
     fresh_load.setattr(native, "usable_cpus", lambda: 2)
     base = dict(alpha0=5.0, n_values=[14, 18], trials_per_n=6, base_seed=4)
     records = run_ensemble(EnsembleConfig(**base, parallelism=2))
@@ -57,47 +70,44 @@ def test_kernel_loaded_before_the_pool_forks(fresh_load):
 
 
 def test_pool_sized_by_blocks(monkeypatch):
-    # the pool forks every worker it is sized for, so it never gets more
-    # workers than blocks or usable CPUs; the recorder runs the blocks in
-    # this process
+    # one task per (N, trial): the pool is never larger than the trials or
+    # the usable CPUs, however many threads `parallelism` asks for
     sizes = []
+    pool_type = ensemble.ThreadPoolExecutor
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", RecordingPool)
-    base = dict(alpha0=5.0, n_values=[10], trials_per_n=3, base_seed=2)
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return pool_type(max_workers)
+    monkeypatch.setattr(ensemble, "ThreadPoolExecutor", recording_pool)
+    base = dict(alpha0=5.0, n_values=[10, 11], trials_per_n=3, base_seed=2)
     serial = _strip_runtime(run_ensemble(EnsembleConfig(**base, parallelism=1)))
     # this host's CPUs, and stand-ins for a 2-CPU and a 64-CPU host
     for cpus in (native.usable_cpus(), 2, 64):
         monkeypatch.setattr(native, "usable_cpus", lambda: cpus)
-        sizes.clear()
-        records = run_ensemble(EnsembleConfig(**base, parallelism=5000))
-        assert sizes == ([min(3, cpus)] if cpus > 1 else []), cpus
-        assert _strip_runtime(records) == serial, cpus
+        for parallelism, want in ((None, min(6, cpus)), (5000, min(6, cpus)),
+                                  (4, min(4, cpus))):
+            sizes.clear()
+            records = run_ensemble(EnsembleConfig(**base, parallelism=parallelism))
+            assert sizes == [want], (cpus, parallelism)
+            assert _strip_runtime(records) == serial, (cpus, parallelism)
+    sizes.clear()
+    run_ensemble(EnsembleConfig(5.0, [10], 1, parallelism=8))
+    assert sizes == [1]
 
 
 def test_blocks_run_largest_n_first(monkeypatch):
+    # trials are queued largest N first, and the records come back sorted
     seen = []
-    run_block = ensemble._run_block
+    run_trial = ensemble._run_trial
 
-    def spy(args):
-        seen.append(args[2])
-        return run_block(args)
-    monkeypatch.setattr(ensemble, "_run_block", spy)
+    def spy(config, n, trial):
+        seen.append((n, trial))
+        return run_trial(config, n, trial)
+    monkeypatch.setattr(ensemble, "_run_trial", spy)
     records = run_ensemble(EnsembleConfig(5.0, [10, 12, 14], 4, parallelism=1))
-    assert seen == sorted(seen, reverse=True) and set(seen) == {10, 12, 14}
+    assert seen == [(n, t) for n in (14, 12, 10) for t in range(4)]
     keys = [(r.n_vars, r.trial) for r in records]
-    assert keys == sorted(keys)
+    assert keys == sorted(keys) == sorted(seen)
 
 
 def test_records_csv_roundtrip(tmp_path):

@@ -1,7 +1,10 @@
 """The one compiled library: one build per cache, a key over every source
 and the flags, and one fallback warning for every layer."""
 
+import subprocess
 import warnings
+
+import pytest
 
 from satgrowth import annealed, cnf, dpll, native, oracle
 from satgrowth.cnf import generate_random_instance
@@ -44,6 +47,19 @@ def test_each_source_and_the_flags_key_the_library(tmp_path, monkeypatch):
     monkeypatch.setattr(native, "CFLAGS", native.CFLAGS + ("-g",))
     paths.append(native._library_path("gcc"))
     assert len(set(paths)) == len(paths) == 5, paths
+
+
+def test_sources_compile_without_warnings(tmp_path):
+    # annealed_kernel.c declares sg_fan_out and sg_max_threads by hand;
+    # link-time optimisation warns when that disagrees with dpll_kernel.c
+    cc = native._compiler()
+    if cc is None:
+        pytest.skip("no C compiler (gcc) on PATH")
+    out = subprocess.run([cc, *native.CFLAGS, "-Wall", "-Wextra", "-Werror",
+                          "-flto", "-o", str(tmp_path / "kernels.so"),
+                          *map(str, native.SOURCES)],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
 
 
 def test_one_warning_names_every_reference_path(fresh_load):
