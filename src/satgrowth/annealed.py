@@ -27,20 +27,22 @@ on the clause vector.  One assigned variable per step:
 The vectorized engine factors each step into exact sequential binomial
 passes (per-clause multinomial fates = satisfied-thinning followed by
 conversion of the survivors), applied as banded shift-and-add passes along
-one axis at a time of the dense (C1, C2, C3) window; it matches
-guc_transition_row to rounding error.  A thinning pass moves mass down its
+one axis at a time of the dense (C1, C2, C3) window; it matches the
+per-cell transition rows that the tests keep as its reference
+(tests/common.py) to rounding error.  A thinning pass moves mass down its
 axis (j satisfied clauses leave); a conversion pass also moves it one step
 up the axis before (k clauses lose a literal: 2 -> 1 along C2 into C1,
-3 -> 2 along C3 into C2).  Before a step the window's low C2 and C3 sides
-are padded by the per-step binomial support (for C2: thinning plus 2 -> 1
-conversion plus the split clause), so no move leaves the window; the
-(0, 0, C3) split-on-a-3-clause sliver, which exists while the window holds
-C2 = 0, is summed as dense numpy rows (_sliver_rows), bit-identical to the
-guc_transition_row terms.
+3 -> 2 along C3 into C2).  A step runs three fields through the passes:
+the unit field (C1 >= 1), the split field on a 2-clause (C1 = 0) and,
+while the window holds C2 = 0, the split field on a 3-clause, the
+(0, 0, C3) sliver; a split field emits both children, the false one a step
+up C1 or C2.  Before a step the window's low C2 and C3 sides are padded by
+the per-step binomial support (for C2: thinning plus 2 -> 1 conversion plus
+the split clause), so no move leaves the window.
 
-One binomial pmf (_binom_pmf) gives the transition rows, the sliver rows
-and the passes' weight tables (_pass_weights), always with numpy; a step
-builds each table once.  The multiply-adds run in the C kernel
+One binomial pmf (_binom_pmf) gives the passes' weight tables
+(_pass_weights), always with numpy; a step builds each table once.  The
+multiply-adds run in the C kernel
 annealed_kernel.c, which native.load() builds with the other kernels and
 binds (as its `passes`) to the AVX2 entry points when the CPU has AVX2, else
 to the baseline ones.  A pass splits its destination rows across
@@ -57,7 +59,7 @@ windows, marked read-only, and each sums its window once.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -99,57 +101,6 @@ def _binom_support(n: int, p: float, tail: float) -> int:
     sig = math.sqrt(max(n * p * (1.0 - p), 1e-12))
     z = math.sqrt(max(2.0 * math.log(1.0 / tail), 1.0))
     return min(n, int(mean + z * sig + 6.0))
-
-
-def guc_transition_row(c_from: Tuple[int, int, int], T: int, N: int,
-                       tail: float = 1e-14) -> List[Tuple[ClauseVector, float]]:
-    """Outgoing (destination clause vector, branch weight) terms of one step.
-
-    Weights are branch multiplicities, not probabilities: a unit row sums to
-    the survival probability (shortfall = contradiction death) and a split
-    row sums to 2.  Binomial factors are truncated at relative tail `tail`.
-    """
-    c1, c2, c3 = c_from
-    if not 0 <= T < N:
-        raise ValueError("need 0 <= T < N")
-    n = N - T
-    if min(c1, c2, c3) < 0:
-        raise ValueError("clause vector components must be non-negative")
-    out: Dict[Tuple[int, int, int], float] = {}
-
-    def add(dest, w):
-        if w > 0.0:
-            out[dest] = out.get(dest, 0.0) + w
-
-    def touched(pool, p):
-        """[(m, w, weight)]: m of the pool's clauses touched (each with
-        probability p), w of them lost a literal (3 -> 2 or 2 -> 1)."""
-        terms = []
-        m_hi = _binom_support(pool, p, tail)
-        pm = _binom_pmf(pool, p, np.arange(m_hi + 1))
-        for m in range(m_hi + 1):
-            pw = _binom_pmf(m, 0.5, np.arange(m + 1))
-            for w in range(m + 1):
-                terms.append((m, w, pm[m] * pw[w]))
-        return terms
-
-    if c1 >= 1:
-        surv = (1.0 - 1.0 / (2.0 * n)) ** (c1 - 1)
-        for m, w2, wa in touched(c3, 3.0 / n):
-            for z2, w1, wb in touched(c2, 2.0 / n):
-                add((c1 - 1 + w1, c2 - z2 + w2, c3 - m), surv * wa * wb)
-    elif c2 >= 1:
-        for m, w2, wa in touched(c3, 3.0 / n):
-            for z2, w1, wb in touched(c2 - 1, 2.0 / n):
-                w = wa * wb
-                add((w1, c2 - 1 - z2 + w2, c3 - m), w)
-                add((w1 + 1, c2 - 1 - z2 + w2, c3 - m), w)
-    elif c3 >= 1:
-        for m, w2, wa in touched(c3 - 1, 3.0 / n):
-            add((0, w2, c3 - 1 - m), wa)
-            add((0, w2 + 1, c3 - 1 - m), wa)
-    # else (0,0,0): satisfied branch, empty row
-    return [(ClauseVector(*k), v) for k, v in sorted(out.items())]
 
 
 class BranchCountField:
@@ -296,52 +247,6 @@ class AnnealedStep:
     pruned_mass: float
 
 
-def _sliver_rows(sliver: np.ndarray, c3_lo: int, n: int,
-                 tail: float) -> Tuple[np.ndarray, int, int]:
-    """The split-on-a-3-clause rows of the (0, 0, C3) cells `sliver` (C3 =
-    c3_lo + index), with n free variables.
-
-    Returns (acc, hi2, hi3): acc[d3, c2] is the mass the rows send to
-    (0, c2, c3_lo + d3), and hi2, hi3 bound the cells that a row reaches
-    with weight > 0 (0, 0 when none does), so that a product that underflows
-    to 0 still widens the window.  Each row equals guc_transition_row's, bit
-    for bit: cell (c2, C3 - 1 - m) gets A[m, c2 - 1] + A[m, c2], with
-    A[m, w2] = Bin(C3 - 1, 3/n)(m) * Bin(m, 1/2)(w2) (the true child keeps
-    w2 new 2-clauses, the false one w2 + 1), and the rows are added in
-    ascending C3, as the dict of guc_transition_row terms was.  The caller
-    pads the low side by the rows' support, as _engine_step does; a row
-    that would reach below index 0 raises AssertionError.
-    """
-    p = 3.0 / n
-    idx = [int(i) for i in np.flatnonzero(sliver) if c3_lo + i >= 1]
-    if not idx:
-        return np.zeros((0, 0)), 0, 0
-    # the support grows with the pool, so the last row is the widest;
-    # half[m, w2] is the Bin(m, 1/2) pmf, zero past m
-    m_top = _binom_support(c3_lo + idx[-1] - 1, p, tail)
-    half = np.zeros((m_top + 1, m_top + 1))
-    for m in range(m_top + 1):
-        half[m, :m + 1] = _binom_pmf(m, 0.5, np.arange(m + 1))
-    acc = np.zeros((len(sliver), m_top + 2))
-    hi2 = hi3 = 0
-    for i3 in idx:
-        pool = c3_lo + i3 - 1
-        m_hi = _binom_support(pool, p, tail)
-        a = np.zeros((m_hi + 1, m_hi + 3))
-        a[:, 1:-1] = (_binom_pmf(pool, p, np.arange(m_hi + 1))[:, None]
-                      * half[:m_hi + 1, :m_hi + 1])
-        lo = i3 - 1 - m_hi
-        rows = (a[:, :-1] + a[:, 1:])[::-1]    # rows[k]: C3 index lo + k
-        if lo < 0:
-            raise AssertionError("sliver destination fell below the c3 padding")
-        acc[lo:i3, :m_hi + 2] += rows * float(sliver[i3])
-        reached = rows > 0
-        if reached.any():
-            hi2 = max(hi2, int(np.flatnonzero(reached.any(axis=0))[-1]) + 1)
-            hi3 = max(hi3, lo + int(np.flatnonzero(reached.any(axis=1))[-1]) + 1)
-    return acc, hi2, hi3
-
-
 def _engine_step(arr: np.ndarray, c2_lo: int, c3_lo: int, T: int, N: int,
                  tail: float) -> Tuple[np.ndarray, int, int]:
     """One full chain step on a window array; returns the unpruned result
@@ -371,45 +276,50 @@ def _engine_step(arr: np.ndarray, c2_lo: int, c3_lo: int, T: int, N: int,
         f = _thin_pass(field, _pass_weights(vals2, p2, tail), axis=1)
         return _convert_pass(f, _pass_weights(vals2, q2, tail), axis=1)
 
-    # both fields' C3 pools share the step's two tables
-    sat3 = _pass_weights(c3_vals, 3.0 / (2.0 * n), tail)
-    conv3 = _pass_weights(c3_vals, q3, tail)
+    def c3_tables(vals3):
+        return (_pass_weights(vals3, 3.0 / (2.0 * n), tail),
+                _pass_weights(vals3, q3, tail))
 
-    def three_pool(field):
-        f = _thin_pass(field, sat3, axis=2)     # satisfied
-        return _convert_pass(f, conv3, axis=2)  # 3 -> 2, c2 grows
+    def three_pool(field, tables):
+        f = _thin_pass(field, tables[0], axis=2)     # satisfied
+        return _convert_pass(f, tables[1], axis=2)   # 3 -> 2, c2 grows
 
+    def both_children(f, axis):
+        # the true child where it lies, the false one a step up `axis`,
+        # where the split clause joins it one literal shorter
+        both = np.zeros([s + (i == axis) for i, s in enumerate(f.shape)])
+        lead = (slice(None),) * axis
+        both[lead + (slice(None, -1),)] += f
+        both[lead + (slice(1, None),)] += f
+        return both
+
+    # the unit and c2 split fields' C3 pools share the step's two tables
+    tables3 = c3_tables(c3_vals)
     out_parts = []
     # unit field: c1 >= 1, survival then consume one unit
     if n1 > 1:
         unit = arr[1:] * ((1.0 - 1.0 / (2.0 * n))
                           ** np.arange(0, n1 - 1))[:, None, None]
         unit = two_then_one(unit, c2_vals)
-        out_parts.append(three_pool(unit))
+        out_parts.append(three_pool(unit, tables3))
     # split field, c2 >= 1: remove the split clause, thin the rest, emit both
     # children (false child gains a unit clause).  Row 0 is c2 = 0 or, when
     # c2_lo > 0, padding, so the populations c2 - 1 start at c2_lo.
     if n2 > 1:
-        split = arr[0:1, 1:, :]
-        f = two_then_one(split, c2_vals[:-1])
-        f = three_pool(f)
-        both = np.zeros((f.shape[0] + 1, f.shape[1], f.shape[2]))
-        both[:-1] += f
-        both[1:] += f
-        out_parts.append(both)
-    # split on a 3-clause: the (0, 0, c3) sliver; it exists only while the
-    # window holds c2 = 0
-    sliver, hi2, hi3 = (_sliver_rows(arr[0, 0, :], c3_lo, n, tail)
-                        if c2_lo == 0 else (None, 0, 0))
-    o1 = max([p.shape[0] for p in out_parts], default=1)
-    o2 = max([p.shape[1] for p in out_parts], default=1)
-    o3 = max([p.shape[2] for p in out_parts], default=1)
-    out = np.zeros((o1, max(o2, hi2), max(o3, hi3)))
+        f = two_then_one(arr[0:1, 1:, :], c2_vals[:-1])
+        out_parts.append(both_children(three_pool(f, tables3), axis=0))
+    # split field on a 3-clause, (0, 0, c3 >= 1), while the window holds
+    # c2 = 0: the same with a 3-clause split, so the false child gains a
+    # 2-clause.  Cell 0 is c3 = 0 or padding, so the populations c3 - 1
+    # start at c3_lo.
+    if c2_lo == 0 and n3 > 1:
+        f = three_pool(arr[0:1, 0:1, 1:], c3_tables(c3_vals[:-1]))
+        out_parts.append(both_children(f, axis=1))
+    out = np.zeros([max([p.shape[i] for p in out_parts], default=1)
+                    for i in range(3)])
     for part in out_parts:
         s = part.shape
         out[:s[0], :s[1], :s[2]] += part
-    if hi3:
-        out[0, :hi2, :hi3] += sliver[:hi3, :hi2].T
     return out, c2_lo, c3_lo
 
 

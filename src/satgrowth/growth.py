@@ -111,8 +111,7 @@ def halt_line_alpha(p: float) -> float:
 
 def asymptotic_omega(alpha0: float) -> float:
     """Closed-form large-ratio GUC asymptote of omega_THE, in bits."""
-    if alpha0 <= 0:
-        raise ValueError("alpha0 must be positive")
+    check_alpha0(alpha0)
     return ASYMPTOTIC_CONSTANT / alpha0
 
 

@@ -224,6 +224,10 @@ class CriticalLine:
 
     def __init__(self, table: Optional[Sequence[Tuple[float, float]]] = None):
         pts = sorted(table) if table else [(1.0, 4.3)]
+        for p, alpha in pts:
+            if not (math.isfinite(p) and math.isfinite(alpha)):
+                raise ValueError(f"critical-line table point ({p}, {alpha}) "
+                                 "is not finite")
         anchor = (self.P_EXACT_MAX, 5.0 / 3.0)
         if not pts or pts[0][0] > self.P_EXACT_MAX + 1e-12:
             pts.insert(0, anchor)

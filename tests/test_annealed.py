@@ -1,5 +1,6 @@
-"""Annealed clause-vector chain: transition rows, the vectorized engine,
-golden mass curves, and the compiled passes against the numpy reference.
+"""Annealed clause-vector chain: the transition rows of tests/common.py,
+the vectorized engine against them, golden mass curves, and the compiled
+passes against the numpy reference.
 
 The differential tests need gcc to build the compiled library and skip
 without it; with gcc present, a library that fails to build fails them.
@@ -14,9 +15,10 @@ import warnings
 import numpy as np
 import pytest
 
+from common import guc_transition_row
 from satgrowth import annealed, growth, native
 from satgrowth.annealed import (BranchCountField, annealed_omega_estimate,
-                                guc_transition_row, mass_curve)
+                                mass_curve)
 from satgrowth.cnf import ClauseVector
 
 
@@ -100,25 +102,78 @@ def _backend(name, reference):
     return reference() if name == "numpy" else contextlib.nullcontext()
 
 
+_ROW_TAIL = 1e-15
+
+
+def _row_step(arr, c2_lo, c3_lo, T, N):
+    """One step of the window `arr` as the sum of its cells' reference
+    rows: {destination: mass}."""
+    want = {}
+    for c1, i2, i3 in zip(*np.nonzero(arr)):
+        src = (int(c1), c2_lo + int(i2), c3_lo + int(i3))
+        for dest, w in guc_transition_row(src, T, N, _ROW_TAIL):
+            want[dest] = want.get(dest, 0.0) + w * float(arr[c1, i2, i3])
+    return want
+
+
+def _assert_step_matches_rows(case, want, label):
+    """_engine_step on the window of `case` equals `want`, the sum of its
+    cells' rows, to 1e-12 of the window's mass, in every cell and in total.
+    Returns the step's c2_lo."""
+    arr, c2_lo, c3_lo, T, N = case
+    out, c2lo, c3lo = annealed._engine_step(arr, c2_lo, c3_lo, T, N, _ROW_TAIL)
+    field = BranchCountField(T + 1, out, c2lo, c3lo)
+    tol = 1e-12 * arr.sum()
+    for dest, w in want.items():
+        assert abs(field.get(dest) - w) < tol, (label, dest)
+    for dest, w in field.items():
+        assert dest in want or w < tol, (label, dest)
+    assert abs(field.total_mass() - sum(want.values())) < tol, label
+    return c2lo
+
+
+def _step_cases():
+    """(window, c2_lo, c3_lo, T, N) cases: single cells of each kind, two
+    of them high enough in C2 that the padded window does not reach C2 = 0;
+    random (0, 0, C3) slivers with several live cells, at C3 = 0 and above;
+    a random window holding every kind of cell at C3 = 0, where (0, 0, 0)
+    sends nothing on; and the slivers of threshold-0 chains, which keep
+    every underflowing tail cell."""
+    cases = []
+    for c1, c2, c3 in ((0, 0, 120), (0, 5, 40), (3, 7, 50), (2, 12, 80),
+                       (1, 0, 0), (1, 40, 100), (0, 45, 100)):
+        cell = np.zeros((c1 + 1, 1, 1))
+        cell[c1, 0, 0] = 1.0
+        cases.append((cell, c2, c3, 2, 40))
+    rng = np.random.default_rng(7)
+    for c3_lo, T, N in ((0, 0, 40), (1, 3, 40), (37, 5, 60), (300, 2, 150),
+                        (1480, 20, 150)):
+        sliver = rng.random((1, 1, int(rng.integers(4, 12))))
+        sliver[rng.random(sliver.shape) < 0.3] = 0.0
+        sliver[0, 0, -1] = sliver[0, 0, 0] = 0.5
+        cases.append((sliver, 0, c3_lo, T, N))
+    cases.append((rng.random((3, 4, 6)), 0, 0, 3, 40))
+    chained = 0
+    for a0, n, t_max in ((4.3, 20, 6), (10.0, 8, None)):
+        for f in annealed.evolve_branch_counts(a0, n, 0.0, t_max):
+            if f.c2_lo == 0 and f.T < n - 5 and f.array[0, 0].any():
+                cases.append((f.array[0:1, 0:1], 0, f.c3_lo, f.T, n))
+                chained += 1
+    assert chained >= 8
+    return cases
+
+
 def test_engine_matches_rows(reference):
-    # (1, 40, 100) and (0, 45, 100) sit high enough in C2 that the padded
-    # window does not reach C2 = 0
-    cases = ((0, 0, 120), (0, 5, 40), (3, 7, 50), (2, 12, 80), (1, 0, 0),
-             (1, 40, 100), (0, 45, 100))
+    cases = _step_cases()
+    wants = [_row_step(*case) for case in cases]
+    assert all(wants)
     for backend in _backends():
         with _backend(backend, reference):
-            for cv in cases:
-                arr = np.zeros((cv[0] + 1, 1, 1))
-                arr[cv[0], 0, 0] = 1.0
-                out, c2lo, c3lo = annealed._engine_step(arr, cv[1], cv[2], 2, 40,
-                                                        1e-15)
-                assert (c2lo > 0) == (cv[1] >= 40), (backend, cv, c2lo)
-                field = BranchCountField(3, out, c2lo, c3lo)
-                row = guc_transition_row(cv, 2, 40, 1e-15)
-                assert row, cv
-                for dest, w in row:
-                    assert abs(field.get(dest) - w) < 1e-12, (backend, cv, dest)
-                assert abs(field.total_mass() - sum(w for _, w in row)) < 1e-12
+            for case, want in zip(cases, wants):
+                arr, c2_lo, c3_lo, T, N = case
+                label = (backend, arr.shape, c2_lo, c3_lo, T, N)
+                c2lo = _assert_step_matches_rows(case, want, label)
+                assert (c2lo > 0) == (c2_lo >= 40), label
 
 
 def test_trimmed_padding_matches_padding_to_zero(reference):
@@ -201,20 +256,20 @@ def _rows(curve):
     return [(st.T, st.total_mass, st.mean_c2, st.mean_c3) for st in curve]
 
 
-# Golden values of the chain as the numpy engine computed it before the
-# compiled passes and the support-sized C2 padding: blake2b digests of the
-# repr of the (T, total_mass, mean_c2, mean_c3) rows.  Every float must stay
-# identical on both backends, so any change to the chain's arithmetic fails.
-_GOLDEN_CURVES = {(10.0, 40): "5d9a0b3e375b8d428acca4461da07cf3",
-                  (20.0, 30): "bead1d31382adbb4165e4e388a0c5e16"}
+# Golden values of the chain since the (0, 0, C3) split field runs the C3
+# passes: blake2b digests of the repr of the (T, total_mass, mean_c2,
+# mean_c3) rows.  Every float must stay identical on both backends, so any
+# change to the chain's arithmetic fails.
+_GOLDEN_CURVES = {(10.0, 40): "eb3a19a8a46799ddfba8e8a270a05959",
+                  (20.0, 30): "061406bf1f9d6a8887e96547552566ef"}
 
 
 def test_chain_golden_values():
     for (alpha0, n), want in _GOLDEN_CURVES.items():
         assert _digest(_rows(mass_curve(alpha0, n))) == want, (alpha0, n)
     om, t_peak, curve = annealed_omega_estimate(10.0, 60)
-    assert (om, t_peak) == (0.06601952766222603, 10)
-    assert _digest(_rows(curve)) == "b6134d9bb07ccc832615fdb01fc0422a"
+    assert (om, t_peak) == (0.06601952766222204, 10)
+    assert _digest(_rows(curve)) == "f5110bea5ccc8eb303d8a55264ed9678"
 
 
 def test_chain_rejects_bad_inputs():
@@ -408,73 +463,6 @@ def test_pass_threads_end_with_the_call(entry_pairs, monkeypatch):
     for _ in range(3):
         fn(arr, weights, axis)
         assert len(os.listdir(tasks)) == before
-
-
-def _dict_sliver(sliver, c3_lo, T, N, tail):
-    """The (0, 0, C3) rows summed as _engine_step once did, in a dict of
-    guc_transition_row terms: {(C2, C3 index): mass}."""
-    terms = {}
-    for i3 in np.nonzero(sliver)[0]:
-        c3 = int(c3_lo + i3)
-        if c3 == 0:
-            continue
-        for dest, w in guc_transition_row((0, 0, c3), T, N, tail):
-            key = (dest[1], dest[2] - c3_lo)
-            terms[key] = terms.get(key, 0.0) + w * float(sliver[i3])
-    return terms
-
-
-def _assert_sliver_matches_rows(cells, c3_lo, T, N, tail):
-    """_sliver_rows equals the dict path on the (0, 0, C3) cells `cells`
-    (C3 from c3_lo), first padded on the low side as _engine_step pads
-    them: every cell bit for bit, and the extents of the cells a row
-    reaches, which fix the window shape.  Returns how many reached cells
-    hold 0.0 because their product underflowed."""
-    pad = min(c3_lo, annealed._binom_support(c3_lo + len(cells) - 1,
-                                             3.0 / (N - T), tail) + 2)
-    sliver, c3_lo = np.concatenate((np.zeros(pad), cells)), c3_lo - pad
-    acc, hi2, hi3 = annealed._sliver_rows(sliver, c3_lo, N - T, tail)
-    want = _dict_sliver(sliver, c3_lo, T, N, tail)
-    label = (c3_lo, T, N, tail)
-    if not want:
-        assert (hi2, hi3) == (0, 0) and not acc.any(), label
-        return 0
-    assert hi2 == 1 + max(c2 for c2, _ in want), label
-    assert hi3 == 1 + max(d3 for _, d3 in want), label
-    dense = np.zeros(acc.shape)
-    for (c2, d3), v in want.items():
-        dense[d3, c2] = v
-    assert np.array_equal(acc, dense), label
-    return sum(v == 0.0 for v in want.values())
-
-
-def test_sliver_rows_match_transition_rows():
-    rng = np.random.default_rng(7)
-    underflowed = 0
-    for c3_lo, T, N in ((0, 0, 40), (1, 3, 40), (37, 5, 60), (300, 2, 150),
-                        (1480, 20, 150)):
-        for p_live in (1.0, 0.5, 0.05):    # chance the sliver holds mass
-            sliver = rng.random(int(rng.integers(1, 12))) * (rng.random() < p_live)
-            sliver[rng.random(len(sliver)) < 0.3] = 0.0
-            tiny = sliver * 1e-305
-            tiny[::2] = np.where(sliver[::2] > 0, 5e-324, 0.0)
-            for s in (sliver, tiny):
-                for tail in (1e-14, 1e-6):
-                    underflowed += _assert_sliver_matches_rows(s, c3_lo, T, N, tail)
-    # a subnormal cell times a small row weight underflows to 0, yet the
-    # cell it reaches still counts for the window
-    assert underflowed > 0
-    # at threshold 0 the windows keep every underflowing tail cell
-    fields = 0
-    for a0, n, t_max in ((4.3, 20, 6), (10.0, 8, None)):
-        for f in annealed.evolve_branch_counts(a0, n, 0.0, t_max):
-            if f.c2_lo == 0 and f.T < n - 5:
-                _assert_sliver_matches_rows(f.array[0, 0, :], f.c3_lo, f.T, n, 1e-14)
-                fields += 1
-    assert fields >= 8
-    # a row reaching below the window is a padding error, not lost mass
-    with pytest.raises(AssertionError):
-        annealed._sliver_rows(np.ones(1), 100, 40, 1e-14)
 
 
 def test_fallback_without_compiler(fresh_load):

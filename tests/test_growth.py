@@ -118,8 +118,9 @@ def test_asymptotic_constant_and_trend():
     # 50-digit evaluation of (3+sqrt5)/(6 ln 2) ln((1+sqrt5)/2)^2
     assert abs(ASYMPTOTIC_CONSTANT - 0.29154201198660445) < 1e-14
     assert abs(asymptotic_omega(20.0) - 0.0153) / 0.0153 < 0.05
-    with pytest.raises(ValueError):
-        asymptotic_omega(0.0)
+    for alpha0 in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            asymptotic_omega(alpha0)
 
 
 def test_upper_sat_from_marginal_g_flagged():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import satgrowth
 
-OPTION_CAP = 56
+OPTION_CAP = 55
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -180,15 +180,25 @@ def test_cli_error_exit(tmp_path, capsys):
         assert "error:" in captured.err and captured.out == "", t
     for path in (cloud, surface, branch):
         assert not os.path.exists(path), path
-    # growth PDE inputs: --alpha0 missing or not positive without --g, and
-    # G points off the phase diagram (p outside [0, 1], alpha <= 0, t
-    # outside [0, 1)) for pde and for the Table 1 upper-sat row
+    # growth PDE inputs: --alpha0 missing or not positive without --g, G
+    # points off the phase diagram (p outside [0, 1], alpha <= 0, t
+    # outside [0, 1)) for pde and for the Table 1 upper-sat row, and
+    # critical-line tables holding a point that is not finite
     table = str(tmp_path / "table1.csv")
+    critical = []
+    for i, point in enumerate(("0.7,nan", "0.7,inf", "nan,3.0")):
+        path = tmp_path / f"critical{i}.csv"
+        path.write_text(f"p,alpha_c\n{point}\n1.0,4.3\n")
+        critical += [["ode", "--alpha0", "3.5", "--find-g",
+                      "--critical-table", str(path)],
+                     ["pde", "--alpha0", "3.5", "--upper-sat",
+                      "--critical-table", str(path)]]
     for argv in (["pde"], ["pde", "--upper-sat"], ["pde", "--alpha0", "-5"],
                  ["pde", "--alpha0", "0"], ["pde", "--g", "1.5,3.0,0.2"],
                  ["pde", "--g", "0.8,0,0.2"], ["pde", "--g", "0.8,3.0,-0.1"],
                  ["pde", "--g", "0.8,3.0,1.0"],
-                 ["report", "table1", "--out", table, "--g", "0.5,-3,0.2"]):
+                 ["report", "table1", "--out", table, "--g", "0.5,-3,0.2"],
+                 *critical):
         assert cli.main(argv) == 1, argv
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == "", argv

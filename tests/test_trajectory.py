@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -122,6 +123,9 @@ def test_critical_line_validation():
         CriticalLine([(0.4, 2.0), (1.0, 4.3)])  # mismatched anchor
     with pytest.raises(ValueError):
         CriticalLine([(0.6, 2.5)])  # does not reach p = 1
+    for point in ((0.7, math.nan), (0.7, math.inf), (math.nan, 3.0)):
+        with pytest.raises(ValueError, match=re.escape(f"{point} is not finite")):
+            CriticalLine([point, (1.0, 4.3)])
     with pytest.raises(ValueError):
         line.alpha_c(1.5)
 
