@@ -32,13 +32,15 @@ per-cell transition rows that the tests keep as its reference
 (tests/common.py) to rounding error.  A thinning pass moves mass down its
 axis (j satisfied clauses leave); a conversion pass also moves it one step
 up the axis before (k clauses lose a literal: 2 -> 1 along C2 into C1,
-3 -> 2 along C3 into C2).  A step runs three fields through the passes:
-the unit field (C1 >= 1), the split field on a 2-clause (C1 = 0) and,
-while the window holds C2 = 0, the split field on a 3-clause, the
+3 -> 2 along C3 into C2).  A step runs three fields through the C1 and C2
+moves: the unit field (C1 >= 1), the split field on a 2-clause (C1 = 0)
+and, while the window holds C2 = 0, the split field on a 3-clause, the
 (0, 0, C3) sliver; a split field emits both children, the false one a step
-up C1 or C2.  Before a step the window's low C2 and C3 sides are padded by
-the per-step binomial support (for C2: thinning plus 2 -> 1 conversion plus
-the split clause), so no move leaves the window.
+up C1 or C2.  The C3 passes act along C3 alone, with tables of the C3
+populations, so they commute with those moves: they run once, as one C3
+pool on the fields' sum.  Before a step the window's low C2 and C3 sides
+are padded by the per-step binomial support (for C2: thinning plus 2 -> 1
+conversion plus the split clause), so no move leaves the window.
 
 One binomial pmf (_binom_pmf) gives the passes' weight tables
 (_pass_weights), always with numpy; a step builds each table once.  The
@@ -58,6 +60,7 @@ windows, marked read-only, and each sums its window once.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -276,51 +279,44 @@ def _engine_step(arr: np.ndarray, c2_lo: int, c3_lo: int, T: int, N: int,
         f = _thin_pass(field, _pass_weights(vals2, p2, tail), axis=1)
         return _convert_pass(f, _pass_weights(vals2, q2, tail), axis=1)
 
-    def c3_tables(vals3):
-        return (_pass_weights(vals3, 3.0 / (2.0 * n), tail),
-                _pass_weights(vals3, q3, tail))
+    def fields():
+        """The sum of the step's fields after their C1 and C2 moves, each
+        part added at its (C1, C2) offset."""
+        parts = []
+        # unit field: c1 >= 1, survival then consume one unit
+        if n1 > 1:
+            parts.append((0, 0, two_then_one(
+                arr[1:] * ((1.0 - 1.0 / (2.0 * n))
+                           ** np.arange(0, n1 - 1))[:, None, None], c2_vals)))
+        # split field, c2 >= 1: remove the split clause, thin the rest, emit
+        # the true child where it lies and the false one a step up C1, where
+        # the split clause is a unit clause.  Row 0 is c2 = 0 or, when
+        # c2_lo > 0, padding, so the populations c2 - 1 start at c2_lo.
+        if n2 > 1:
+            f = two_then_one(arr[0:1, 1:, :], c2_vals[:-1])
+            parts += [(0, 0, f), (1, 0, f)]
+        # split field on a 3-clause, (0, 0, c3 >= 1), while the window holds
+        # c2 = 0: the split clause leaves, moving each cell down to c3 - 1
+        # (cell 0 is c3 = 0 or padding), and the false child gains it as a
+        # 2-clause, a step up C2
+        if c2_lo == 0 and n3 > 1:
+            parts += [(0, 0, arr[0:1, 0:1, 1:]), (0, 1, arr[0:1, 0:1, 1:])]
+        shape = (max([o1 + p.shape[0] for o1, _, p in parts], default=1),
+                 max([o2 + p.shape[1] for _, o2, p in parts], default=1), n3)
+        # sum in place into the unit part when its shape covers the sum
+        pool = (parts.pop(0)[2] if n1 > 1 and parts[0][2].shape == shape
+                else np.zeros(shape))
+        for o1, o2, p in parts:
+            pool[o1:o1 + p.shape[0], o2:o2 + p.shape[1], :p.shape[2]] += p
+        return pool
 
-    def three_pool(field, tables):
-        f = _thin_pass(field, tables[0], axis=2)     # satisfied
-        return _convert_pass(f, tables[1], axis=2)   # 3 -> 2, c2 grows
-
-    def both_children(f, axis):
-        # the true child where it lies, the false one a step up `axis`,
-        # where the split clause joins it one literal shorter
-        both = np.zeros([s + (i == axis) for i, s in enumerate(f.shape)])
-        lead = (slice(None),) * axis
-        both[lead + (slice(None, -1),)] += f
-        both[lead + (slice(1, None),)] += f
-        return both
-
-    # the unit and c2 split fields' C3 pools share the step's two tables
-    tables3 = c3_tables(c3_vals)
-    out_parts = []
-    # unit field: c1 >= 1, survival then consume one unit
-    if n1 > 1:
-        unit = arr[1:] * ((1.0 - 1.0 / (2.0 * n))
-                          ** np.arange(0, n1 - 1))[:, None, None]
-        unit = two_then_one(unit, c2_vals)
-        out_parts.append(three_pool(unit, tables3))
-    # split field, c2 >= 1: remove the split clause, thin the rest, emit both
-    # children (false child gains a unit clause).  Row 0 is c2 = 0 or, when
-    # c2_lo > 0, padding, so the populations c2 - 1 start at c2_lo.
-    if n2 > 1:
-        f = two_then_one(arr[0:1, 1:, :], c2_vals[:-1])
-        out_parts.append(both_children(three_pool(f, tables3), axis=0))
-    # split field on a 3-clause, (0, 0, c3 >= 1), while the window holds
-    # c2 = 0: the same with a 3-clause split, so the false child gains a
-    # 2-clause.  Cell 0 is c3 = 0 or padding, so the populations c3 - 1
-    # start at c3_lo.
-    if c2_lo == 0 and n3 > 1:
-        f = three_pool(arr[0:1, 0:1, 1:], c3_tables(c3_vals[:-1]))
-        out_parts.append(both_children(f, axis=1))
-    out = np.zeros([max([p.shape[i] for p in out_parts], default=1)
-                    for i in range(3)])
-    for part in out_parts:
-        s = part.shape
-        out[:s[0], :s[1], :s[2]] += part
-    return out, c2_lo, c3_lo
+    # the step's one C3 pool; the summed fields and the padded window are
+    # gone before it converts
+    f = _thin_pass(fields(), _pass_weights(c3_vals, 3.0 / (2.0 * n), tail),
+                   axis=2)                                          # satisfied
+    del arr
+    return (_convert_pass(f, _pass_weights(c3_vals, q3, tail), axis=2),
+            c2_lo, c3_lo)                                   # 3 -> 2, c2 grows
 
 
 def evolve_branch_counts(alpha0: float, N: int,
@@ -334,8 +330,8 @@ def evolve_branch_counts(alpha0: float, N: int,
     (default N-5), or two declining steps after the total mass peaks (the
     halt regime).  Mass below pruning_threshold x total is dropped each step
     and reported as the field's pruned_mass.  Raises ValueError unless N >= 6,
-    alpha0 is positive and finite, 0 <= pruning_threshold < 1 and
-    0 < tail < 1.
+    alpha0 is positive and finite, 0 <= pruning_threshold < 1, 0 < tail < 1
+    and t_max is None or an integer >= 0.
     """
     if N < 6:
         raise ValueError(f"the annealed chain needs N >= 6 variables, got {N}")
@@ -347,6 +343,8 @@ def evolve_branch_counts(alpha0: float, N: int,
     c3_init = int(round(alpha0 * N))
     if t_max is None:
         t_max = N - 5
+    if not (isinstance(t_max, numbers.Integral) and t_max >= 0):
+        raise ValueError(f"t_max must be an integer >= 0, got {t_max!r}")
     # the fields share the windows, which _engine_step only reads
     arr = np.ones((1, 1, 1))
     arr.flags.writeable = False

@@ -6,6 +6,7 @@ The differential tests need gcc to build the compiled library and skip
 without it; with gcc present, a library that fails to build fails them.
 """
 
+import collections
 import contextlib
 import hashlib
 import math
@@ -137,7 +138,10 @@ def _step_cases():
     of them high enough in C2 that the padded window does not reach C2 = 0;
     random (0, 0, C3) slivers with several live cells, at C3 = 0 and above;
     a random window holding every kind of cell at C3 = 0, where (0, 0, 0)
-    sends nothing on; and the slivers of threshold-0 chains, which keep
+    sends nothing on, and one above C3 = 0; a two-row window live in C2 on
+    both C1 rows, whose split children reach one C1 row past the unit
+    field's, so the fields are summed into a fresh array; random windows
+    without a unit field; and the slivers of threshold-0 chains, which keep
     every underflowing tail cell."""
     cases = []
     for c1, c2, c3 in ((0, 0, 120), (0, 5, 40), (3, 7, 50), (2, 12, 80),
@@ -153,6 +157,10 @@ def _step_cases():
         sliver[0, 0, -1] = sliver[0, 0, 0] = 0.5
         cases.append((sliver, 0, c3_lo, T, N))
     cases.append((rng.random((3, 4, 6)), 0, 0, 3, 40))
+    cases.append((rng.random((3, 4, 6)), 0, 25, 4, 60))
+    cases.append((rng.random((2, 3, 5)), 12, 30, 3, 40))
+    cases.append((rng.random((1, 4, 6)), 3, 20, 1, 40))
+    cases.append((rng.random((1, 3, 4)), 44, 10, 2, 40))
     chained = 0
     for a0, n, t_max in ((4.3, 20, 6), (10.0, 8, None)):
         for f in annealed.evolve_branch_counts(a0, n, 0.0, t_max):
@@ -174,6 +182,23 @@ def test_engine_matches_rows(reference):
                 label = (backend, arr.shape, c2_lo, c3_lo, T, N)
                 c2lo = _assert_step_matches_rows(case, want, label)
                 assert (c2lo > 0) == (c2_lo >= 40), label
+
+
+def test_one_c3_pool_per_step(monkeypatch):
+    # the unit, split and (0, 0, C3) fields of a step share one C3 thinning
+    # and one C3 conversion pass; each C2-moving field runs its own pair
+    arr = np.random.default_rng(3).random((3, 4, 6))
+    assert arr[1:].any() and arr[0, 1:].any() and arr[0, 0, 1:].any()
+    calls = collections.Counter()
+    for name in ("_thin_pass", "_convert_pass"):
+        def counted(field, weights, axis, _name=name, _fn=getattr(annealed, name)):
+            calls[_name, axis] += 1
+            return _fn(field, weights, axis)
+        monkeypatch.setattr(annealed, name, counted)
+    out, c2lo, _ = annealed._engine_step(arr, 0, 25, 4, 60, 1e-14)
+    assert c2lo == 0 and out.sum() > arr.sum()
+    assert calls == {("_thin_pass", 1): 2, ("_convert_pass", 1): 2,
+                     ("_thin_pass", 2): 1, ("_convert_pass", 2): 1}
 
 
 def test_trimmed_padding_matches_padding_to_zero(reference):
@@ -256,20 +281,20 @@ def _rows(curve):
     return [(st.T, st.total_mass, st.mean_c2, st.mean_c3) for st in curve]
 
 
-# Golden values of the chain since the (0, 0, C3) split field runs the C3
-# passes: blake2b digests of the repr of the (T, total_mass, mean_c2,
+# Golden values of the chain since every field of a step shares one C3
+# pool: blake2b digests of the repr of the (T, total_mass, mean_c2,
 # mean_c3) rows.  Every float must stay identical on both backends, so any
 # change to the chain's arithmetic fails.
-_GOLDEN_CURVES = {(10.0, 40): "eb3a19a8a46799ddfba8e8a270a05959",
-                  (20.0, 30): "061406bf1f9d6a8887e96547552566ef"}
+_GOLDEN_CURVES = {(10.0, 40): "5ec1883dd42a70d343b0839f75824817",
+                  (20.0, 30): "c881b06e0fedf2598d3c904511e3d60c"}
 
 
 def test_chain_golden_values():
     for (alpha0, n), want in _GOLDEN_CURVES.items():
         assert _digest(_rows(mass_curve(alpha0, n))) == want, (alpha0, n)
     om, t_peak, curve = annealed_omega_estimate(10.0, 60)
-    assert (om, t_peak) == (0.06601952766222204, 10)
-    assert _digest(_rows(curve)) == "f5110bea5ccc8eb303d8a55264ed9678"
+    assert (om, t_peak) == (0.06601952766222205, 10)
+    assert _digest(_rows(curve)) == "3d05983f3326f953e11fb310bafa4f78"
 
 
 def test_chain_rejects_bad_inputs():
@@ -277,7 +302,8 @@ def test_chain_rejects_bad_inputs():
     for bad in (dict(N=5), dict(N=0), dict(N=-3), dict(alpha0=0.0),
                 dict(alpha0=-1.0), dict(alpha0=math.nan), dict(alpha0=math.inf),
                 dict(pruning_threshold=1.0), dict(pruning_threshold=2.0),
-                dict(pruning_threshold=-1e-12), dict(tail=0.0), dict(tail=1.0)):
+                dict(pruning_threshold=-1e-12), dict(tail=0.0), dict(tail=1.0),
+                dict(t_max=-1), dict(t_max=2.5)):
         with pytest.raises(ValueError):
             next(annealed.evolve_branch_counts(**{**good, **bad}))
     with pytest.raises(ValueError):
