@@ -60,20 +60,23 @@ windows, marked read-only, and each sums its window once.
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from . import native
-from .cnf import ClauseVector, check_alpha0
+from .cnf import ClauseVector, check_alpha0, check_t_max
 
 _LGF_CACHE = np.zeros(1)
 
 # destination cells a compiled pass gives each of its threads at least:
 # below that, starting a thread costs more than the thread saves
 THREAD_CELLS = 1 << 14
+
+# the relative upper-tail mass at which the chain truncates a step's
+# binomial factors
+BINOMIAL_TAIL = 1e-14
 
 
 def _lgf(n_max: int) -> np.ndarray:
@@ -321,8 +324,7 @@ def _engine_step(arr: np.ndarray, c2_lo: int, c3_lo: int, T: int, N: int,
 
 def evolve_branch_counts(alpha0: float, N: int,
                          pruning_threshold: float = 1e-12,
-                         t_max: Optional[int] = None,
-                         tail: float = 1e-14
+                         t_max: Optional[int] = None
                          ) -> Iterator[BranchCountField]:
     """Iterate the annealed chain from mass 1 at (0, 0, round(alpha0 N)).
 
@@ -330,21 +332,19 @@ def evolve_branch_counts(alpha0: float, N: int,
     (default N-5), or two declining steps after the total mass peaks (the
     halt regime).  Mass below pruning_threshold x total is dropped each step
     and reported as the field's pruned_mass.  Raises ValueError unless N >= 6,
-    alpha0 is positive and finite, 0 <= pruning_threshold < 1, 0 < tail < 1
-    and t_max is None or an integer >= 0.
+    alpha0 is positive and finite, 0 <= pruning_threshold < 1 and t_max is
+    None or an integer >= 0.  Binomial factors are truncated at relative
+    tail BINOMIAL_TAIL.
     """
     if N < 6:
         raise ValueError(f"the annealed chain needs N >= 6 variables, got {N}")
     check_alpha0(alpha0)
     if not 0.0 <= pruning_threshold < 1.0:
         raise ValueError(f"pruning threshold must lie in [0, 1), got {pruning_threshold}")
-    if not 0.0 < tail < 1.0:
-        raise ValueError(f"binomial tail must lie in (0, 1), got {tail}")
     c3_init = int(round(alpha0 * N))
     if t_max is None:
         t_max = N - 5
-    if not (isinstance(t_max, numbers.Integral) and t_max >= 0):
-        raise ValueError(f"t_max must be an integer >= 0, got {t_max!r}")
+    check_t_max(t_max)
     # the fields share the windows, which _engine_step only reads
     arr = np.ones((1, 1, 1))
     arr.flags.writeable = False
@@ -356,7 +356,7 @@ def evolve_branch_counts(alpha0: float, N: int,
     for T in range(0, t_max):
         if N - T < 5:
             break
-        out, c2_lo, c3_lo = _engine_step(arr, c2_lo, c3_lo, T, N, tail)
+        out, c2_lo, c3_lo = _engine_step(arr, c2_lo, c3_lo, T, N, BINOMIAL_TAIL)
         total = out.sum()
         if total <= 0.0:
             break

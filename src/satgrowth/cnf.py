@@ -13,6 +13,7 @@ solver's incremental bookkeeping must match.
 
 import io
 import math
+import numbers
 import operator
 import random
 from array import array
@@ -157,6 +158,14 @@ def check_alpha0(alpha0: float) -> None:
     start is positive and finite."""
     if not 0.0 < alpha0 < math.inf:
         raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
+
+
+def check_t_max(t_max: int) -> None:
+    """Raise ValueError unless the depth bound `t_max` is an integer >= 0;
+    a bool is not taken for 0 or 1."""
+    if isinstance(t_max, bool) or not (isinstance(t_max, numbers.Integral)
+                                       and t_max >= 0):
+        raise ValueError(f"t_max must be an integer >= 0, got {t_max!r}")
 
 
 def generate_random_instance(n_vars: int, n_2clauses: int, n_3clauses: int,

@@ -20,15 +20,16 @@ packed-literal buffers as they are and checks a sat assignment against every
 clause.  The kernel has one search entry point, `native.search`, which runs
 one search per seed: `solve` calls it with one seed, and
 `DpllSolver.leaf_counts` with LEAF_BATCH seeds at a time, reading only the
-b_leaves of each search's row.  A batch seeds each full block of 16 seeds
-with one MT19937 mixing pass over 16 states in lockstep, and splits its
-seeds into contiguous ranges, one per thread, on up to the library's
-`threads` (`native.usable_cpus()`); a single solve and a short batch run on
-the calling thread and seed alone.  Each search makes the same draws on
-every path, so rows, leaf counts and Monte Carlo means do not depend on
-the batch or the thread count.  The Python loop below is the reference: it
-runs when the kernel cannot be built here, and builds its clause and
-occurrence lists on first use.
+b_leaves of each search's row.  Every search is seeded alike: each block of
+up to 16 seeds takes one MT19937 mixing pass over its states in lockstep,
+and a single solve is a block of one.  A batch splits its seeds into
+contiguous ranges, one per thread, on up to the library's `threads`
+(`native.usable_cpus()`); a single solve, a short batch and any call that
+records the cloud run on the calling thread.  Each search makes the same
+draws on every path, so rows, leaf counts and Monte Carlo means do not
+depend on the batch or the thread count.  The Python loop below is the
+reference: it runs when the kernel cannot be built here, and builds its
+clause and occurrence lists on first use.
 """
 
 import hashlib
@@ -97,8 +98,9 @@ class SolveStats:
     n_vars: int
     assignment: Optional[List[bool]]
 
-    def to_record(self, alpha0=None) -> dict:
-        """Structured per-run record for JSON export."""
+    def to_record(self, alpha0: Optional[float]) -> dict:
+        """Structured per-run record for JSON export; alpha0 is the
+        instance's clause ratio, or None where it has none."""
         return {
             "result": self.result,
             "q_splits": self.q_splits,

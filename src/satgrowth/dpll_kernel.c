@@ -23,12 +23,12 @@
  *
  * A batch is cheaper per seed than a single solve in two ways, neither of
  * which changes a draw.  init_by_array is a serial chain of 1,247 dependent
- * multiply steps, so sg_search seeds each full block of LANES seeds with
- * one mixing pass over LANES states at once (mt_seed_lanes), whose chains
- * overlap; a tail of fewer seeds, and a single solve, seed one at a time
- * (mt_seed).  And sg_search cuts its seeds into contiguous ranges, one per
- * thread, each with its own solver state and cloud buffer; the threads are
- * joined before it returns and the clouds are joined in seed order.
+ * multiply steps, so sg_search seeds every block of up to LANES seeds, a
+ * single solve as a block of one, with one mixing pass over the block's
+ * states at once (mt_seed_lanes), whose chains overlap.  And sg_search
+ * cuts its seeds into contiguous ranges, one per thread, each with its own
+ * solver state, and joins the threads before it returns; a call that
+ * records the cloud runs on one thread and writes it in seed order.
  *
  * Literals are packed as 2 * variable + negated.  The kernel allocates all
  * of its state per call and keeps nothing between calls, so separate calls
@@ -58,13 +58,13 @@ static void mt_init_genrand(mt_state *r, uint32_t s)
     r->mti = 0;
 }
 
-/* init_by_array's mixing of the key into r, which must hold
-   init_genrand(19650218): the solver computes that state once and starts
-   every search's seeding from a copy of it. */
-static void mt_mix_key(mt_state *r, const uint32_t *key, int len)
+/* random.Random's init_by_array: init_genrand(19650218), then the key's
+   mixing chain */
+static void mt_init_by_array(mt_state *r, const uint32_t *key, int len)
 {
     uint32_t *mt = r->mt;
     int i = 1, j = 0;
+    mt_init_genrand(r, 19650218U);
     for (int k = MT_N > len ? MT_N : len; k; k--) {
         mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U))
                 + key[j] + (uint32_t)j;
@@ -79,12 +79,6 @@ static void mt_mix_key(mt_state *r, const uint32_t *key, int len)
         if (i >= MT_N) { mt[0] = mt[MT_N - 1]; i = 1; }
     }
     mt[0] = 0x80000000U;
-}
-
-static void mt_init_by_array(mt_state *r, const uint32_t *key, int len)
-{
-    mt_init_genrand(r, 19650218U);
-    mt_mix_key(r, key, len);
 }
 
 /* The twist of mt[i] is made just before mt[i] is read, which gives the
@@ -113,57 +107,52 @@ static double mt_random(mt_state *r)
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
-/* random.Random(seed) for a seed below 2^64, from r0 = init_genrand(19650218) */
-static void mt_seed(mt_state *r, const mt_state *r0, uint64_t seed)
-{
-    uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
-    *r = *r0;
-    mt_mix_key(r, key, key[1] ? 2 : 1);
-}
-
-/* Seeds mixed at once by mt_seed_lanes: a block of them fills the vectors
-   that carry the chains. */
+/* The most seeds that mt_seed_lanes mixes at once: the block that
+   sg_search seeds, and so the unit of its thread ranges. */
 #define LANES 16
 
-/* mt_seed for seeds[0 .. LANES) at once: leaves random.Random(seeds[l])
-   in lane l of mt, which holds LANES states lane-minor (mt[i][lane]), each
-   starting from r0 = init_genrand(19650218).  mt_mix_key's step k adds
-   key[j] + j with j = k mod len, which is add[k & 1][lane]: key[0] at
+/* random.Random(seeds[l]) for the count (1 <= count <= LANES) seeds of a
+   block at once, each below 2^64: leaves the state of seed l in lane l of
+   mt, which holds count states lane-minor (mt[i][l]), each starting from
+   r0 = init_genrand(19650218), which the solver computes once.  The key
+   of a seed is its one or two 32-bit words, and mt_init_by_array's step k
+   adds key[j] + j with j = k mod len, which is add[k & 1][l]: key[0] at
    every step for a one-word key, key[0] and key[1] + 1 in turn for a
    two-word key.  Both mixing loops outlast either key length, so every
-   lane steps i alike and each lane's chain is the one mt_mix_key runs. */
-static void mt_seed_lanes(uint32_t (*mt)[LANES], const mt_state *r0,
+   lane steps i alike and each lane's chain is the one mt_init_by_array
+   runs. */
+static void mt_seed_lanes(int count, uint32_t (*mt)[count], const mt_state *r0,
                           const uint64_t *seeds)
 {
     uint32_t add[2][LANES];
-    for (int l = 0; l < LANES; l++) {
+    for (int l = 0; l < count; l++) {
         uint32_t lo = (uint32_t)seeds[l], hi = (uint32_t)(seeds[l] >> 32);
         add[0][l] = lo;
         add[1][l] = hi ? hi + 1U : lo;
     }
     for (int i = 0; i < MT_N; i++)
-        for (int l = 0; l < LANES; l++)
+        for (int l = 0; l < count; l++)
             mt[i][l] = r0->mt[i];
     int i = 1;
     for (int k = 0; k < MT_N; k++) {
         const uint32_t *a = add[k & 1];
-        for (int l = 0; l < LANES; l++)
+        for (int l = 0; l < count; l++)
             mt[i][l] = (mt[i][l] ^ ((mt[i - 1][l] ^ (mt[i - 1][l] >> 30)) * 1664525U))
                        + a[l];
         if (++i >= MT_N) { memcpy(mt[0], mt[MT_N - 1], sizeof mt[0]); i = 1; }
     }
     for (int k = MT_N - 1; k; k--) {
-        for (int l = 0; l < LANES; l++)
+        for (int l = 0; l < count; l++)
             mt[i][l] = (mt[i][l] ^ ((mt[i - 1][l] ^ (mt[i - 1][l] >> 30)) * 1566083941U))
                        - (uint32_t)i;
         if (++i >= MT_N) { memcpy(mt[0], mt[MT_N - 1], sizeof mt[0]); i = 1; }
     }
-    for (int l = 0; l < LANES; l++)
+    for (int l = 0; l < count; l++)
         mt[0][l] = 0x80000000U;
 }
 
-/* The state of lane `lane` of mt, as mt_seed would have left it in r */
-static void mt_lane(mt_state *r, const uint32_t (*mt)[LANES], int lane)
+/* Lane `lane` of the count states that mt_seed_lanes left in mt */
+static void mt_lane(mt_state *r, int count, const uint32_t (*mt)[count], int lane)
 {
     for (int i = 0; i < MT_N; i++)
         r->mt[i] = mt[i][lane];
@@ -228,9 +217,7 @@ typedef struct {
     int track_free;
     int conflict;
     mt_state rng;
-    mt_state rng0;                  /* init_genrand(19650218), see mt_seed */
-    uint32_t (*lanes)[LANES];       /* a block's states, or NULL; see
-                                       mt_seed_lanes */
+    mt_state rng0;                  /* init_genrand(19650218) */
 } solver;
 
 static void live_remove(solver *s, int k, int32_t c)
@@ -395,12 +382,11 @@ static int32_t select_literal(solver *s, int heuristic)
 
 /* The part of the solver state that depends on the instance only: the
  * occurrence lists and room for everything else, carved from one zeroed
- * block that the caller frees (s->occ_start, NULL when out of memory),
- * with room for a block of LANES seed states when `lanes` is set.
+ * block that the caller frees (s->occ_start, NULL when out of memory).
  * Returns the frame stack, n + 1 deep (a frame per assigned variable at
  * most), or NULL when out of memory. */
 static frame *setup(solver *s, int32_t n, int32_t m, const int32_t *lits,
-                    const int32_t *start, int heuristic, int lanes)
+                    const int32_t *start, int heuristic)
 {
     int32_t nlits = start[m];
     size_t mm = (size_t)m + 1, nn = (size_t)n + 1;
@@ -409,8 +395,7 @@ static frame *setup(solver *s, int32_t n, int32_t m, const int32_t *lits,
                    + 5 * mm                     /* st, livepos, lives[1..3] */
                    + 3 * nn                     /* trail, freevars, freepos */
                    + 2 * ((size_t)nlits + 1)    /* move_c, move_x */
-                   + nn * (sizeof(frame) / sizeof(int32_t))
-                   + (lanes ? (size_t)MT_N * LANES : 0);
+                   + nn * (sizeof(frame) / sizeof(int32_t));
     int32_t *w = calloc(words * sizeof(int32_t) + 2 * nn, 1);
     memset(s, 0, sizeof *s);
     if (!w)
@@ -432,8 +417,6 @@ static frame *setup(solver *s, int32_t n, int32_t m, const int32_t *lits,
     s->move_c = s->freepos + nn;
     s->move_x = s->move_c + nlits + 1;
     frame *frames = (frame *)(s->move_x + nlits + 1);
-    if (lanes)
-        s->lanes = (uint32_t (*)[LANES])(frames + nn);
     s->val = (int8_t *)(w + words);
     s->values = (uint8_t *)s->val + nn;
 
@@ -574,42 +557,37 @@ typedef struct {
     const uint64_t *seeds;
     int64_t *out;
     uint8_t *assignments;
-    int record_cloud;
+    cloud_buf *cloud;   /* NULL, or the one buffer of a one-thread call */
 } batch;
 
 /* Seeds lo .. hi - 1 of a batch, run on one thread with its own solver
-   state and cloud buffer; rc is 0 or the range's first negative SG_ code,
-   at which the range stops. */
+   state; rc is 0 or the range's first negative SG_ code, at which the
+   range stops. */
 typedef struct {
     const batch *b;
     int32_t lo, hi;
-    cloud_buf cloud;
     int rc;
 } range;
 
-/* Each full block of LANES seeds from lo on is seeded at once, the tail
-   one seed at a time. */
+/* Each block of LANES seeds from lo on, and the shorter tail, is seeded at
+   once. */
 static void *run_range(void *arg)
 {
     range *r = arg;
     const batch *b = r->b;
     solver s;
-    frame *frames = setup(&s, b->n, b->m, b->lits, b->start, b->heuristic,
-                          r->hi - r->lo >= LANES);
+    uint32_t lanes[MT_N * LANES];
+    frame *frames = setup(&s, b->n, b->m, b->lits, b->start, b->heuristic);
     r->rc = frames ? SG_OK : SG_NOMEM;
     for (int32_t i = r->lo; r->rc == SG_OK && i < r->hi; i++) {
-        int32_t lane = (i - r->lo) % LANES;
-        int in_block = r->hi - (i - lane) >= LANES;
-        if (in_block && lane == 0)
-            mt_seed_lanes(s.lanes, &s.rng0, b->seeds + i);
+        int32_t lane = (i - r->lo) % LANES, first = i - lane;
+        int block = r->hi - first < LANES ? r->hi - first : LANES;
+        if (lane == 0)
+            mt_seed_lanes(block, (void *)lanes, &s.rng0, b->seeds + i);
         reset(&s);
-        if (in_block)
-            mt_lane(&s.rng, s.lanes, lane);
-        else
-            mt_seed(&s.rng, &s.rng0, b->seeds[i]);
+        mt_lane(&s.rng, block, (void *)lanes, lane);
         int64_t *row = b->out + 6 * (int64_t)i;
-        r->rc = search(&s, frames, b->heuristic, row,
-                       b->record_cloud ? &r->cloud : NULL);
+        r->rc = search(&s, frames, b->heuristic, row, b->cloud);
         if (r->rc == SG_OK && row[0])
             memcpy(b->assignments + (size_t)b->n * i, s.values, (size_t)b->n);
     }
@@ -656,11 +634,12 @@ void sg_fan_out(void *(*run)(void *), void *tasks, size_t size, int32_t n)
  * nthreads:     the most threads to run the searches on
  *
  * The seeds are cut into contiguous ranges, one per thread, at multiples
- * of LANES so that only the last range has a tail that is seeded one seed
- * at a time; there are at most count / LANES ranges, and at least one.
- * sg_fan_out runs them, the first on the caller.  Every search writes only
- * its own row, assignment bytes and range's cloud, with the draws it makes
- * alone, so nothing depends on the thread count.
+ * of LANES, so that each range seeds whole blocks and only the last one a
+ * shorter tail; there are at most count / LANES ranges, and at least one.
+ * A call that records the cloud runs one range, so its searches append to
+ * one buffer in seed order.  sg_fan_out runs the ranges, the first on the
+ * caller.  Every search writes only its own row and assignment bytes, with
+ * the draws it makes alone, so nothing depends on the thread count.
  *
  * Returns 0, or the negative SG_ code of the first failing range in seed
  * order (the code of the first failing seed), which leaves *cloud NULL. */
@@ -669,13 +648,15 @@ int sg_search(int32_t n, int32_t m, const int32_t *lits, const int32_t *start,
               int64_t *out, uint8_t *assignments, int32_t **cloud,
               int32_t nthreads)
 {
-    batch b = {n, m, lits, start, heuristic, seeds, out, assignments, cloud != NULL};
+    cloud_buf points = {NULL, 0, 0};
+    batch b = {n, m, lits, start, heuristic, seeds, out, assignments,
+               cloud ? &points : NULL};
     int64_t blocks = count / LANES;
     if (nthreads > blocks)
         nthreads = (int32_t)blocks;
     if (nthreads > sg_max_threads)
         nthreads = sg_max_threads;
-    if (nthreads < 1)
+    if (nthreads < 1 || cloud)
         nthreads = 1;
     range ranges[nthreads];
     for (int32_t t = 0; t < nthreads; t++)
@@ -683,35 +664,16 @@ int sg_search(int32_t n, int32_t m, const int32_t *lits, const int32_t *start,
                             t + 1 < nthreads
                                 ? (int32_t)(LANES * (blocks * (t + 1) / nthreads))
                                 : count,
-                            {NULL, 0, 0}, SG_OK};
+                            SG_OK};
     sg_fan_out(run_range, ranges, sizeof *ranges, nthreads);
 
     int rc = SG_OK;
-    int64_t total = 0;
-    for (int32_t t = 0; t < nthreads; t++) {
-        if (rc == SG_OK)
-            rc = ranges[t].rc;
-        total += ranges[t].cloud.n;
-    }
-    cloud_buf *all = &ranges[0].cloud;
-    if (rc == SG_OK && total > all->cap) {
-        int32_t *p = realloc(all->pts, (size_t)total * 3 * sizeof(int32_t));
-        if (p)
-            all->pts = p;
-        else
-            rc = SG_NOMEM;
-    }
-    for (int32_t t = 1; t < nthreads; t++) {
-        cloud_buf *part = &ranges[t].cloud;
-        if (rc == SG_OK && part->n)
-            memcpy(all->pts + 3 * all->n, part->pts, (size_t)part->n * 3 * sizeof(int32_t));
-        all->n += part->n;
-        free(part->pts);
-    }
+    for (int32_t t = 0; t < nthreads && rc == SG_OK; t++)
+        rc = ranges[t].rc;
     if (rc != SG_OK)
-        free(all->pts);
+        free(points.pts);
     if (cloud)
-        *cloud = rc == SG_OK ? all->pts : NULL;
+        *cloud = rc == SG_OK ? points.pts : NULL;
     return rc;
 }
 
@@ -756,14 +718,20 @@ void sg_generate(int32_t n, int64_t n2, int64_t n3, const uint32_t *key,
     *starts = (int32_t)(next - lits);
 }
 
-/* The first `count` values of random.Random(seed).random(). */
-void sg_random(uint64_t seed, int32_t count, double *out)
+/* The first `count` values of random.Random(seeds[l]).random() for each
+   of the nseeds (1 <= nseeds <= LANES) seeds, seeded as one block as
+   sg_search seeds them: row l of out, count values, is seed l's. */
+void sg_random(const uint64_t *seeds, int32_t nseeds, int32_t count, double *out)
 {
     mt_state r, r0;
+    uint32_t lanes[MT_N * LANES];
     mt_init_genrand(&r0, 19650218U);
-    mt_seed(&r, &r0, seed);
-    for (int32_t i = 0; i < count; i++)
-        out[i] = mt_random(&r);
+    mt_seed_lanes(nseeds, (void *)lanes, &r0, seeds);
+    for (int32_t l = 0; l < nseeds; l++) {
+        mt_lane(&r, nseeds, (void *)lanes, l);
+        for (int32_t i = 0; i < count; i++)
+            *out++ = mt_random(&r);
+    }
 }
 
 void sg_free(void *p)

@@ -37,6 +37,10 @@ class EnsembleConfig:
     def __post_init__(self):
         check_alpha0(self.alpha0)
         self.n_values = tuple(int(n) for n in self.n_values)
+        if not self.n_values:
+            raise ValueError("n_values must name at least one N")
+        if min(self.n_values) < 3:
+            raise ValueError(f"every N must be >= 3, got {min(self.n_values)}")
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
         if self.trials_per_n < 1:

@@ -167,7 +167,7 @@ def load():
     lib.sg_generate.restype = None
     lib.sg_free.argtypes = [ptr]
     lib.sg_free.restype = None
-    lib.sg_random.argtypes = [ctypes.c_uint64, i32, ctypes.POINTER(ctypes.c_double)]
+    lib.sg_random.argtypes = [ptr, i32, i32, ctypes.POINTER(ctypes.c_double)]
     lib.sg_random.restype = None
     lib.sg_closure.argtypes = [i32, i32, ptr, ptr, i32, ctypes.POINTER(_Closure)]
     lib.sg_closure.restype = ctypes.c_int
@@ -205,12 +205,14 @@ def search(lib, n_vars: int, lits, start, heuristic: str, mixed_seeds: List[int]
     (assigned, C2, C3) triples in seed order, or nothing without
     record_cloud.
 
-    The kernel seeds each full block of 16 seeds with one MT19937 mixing
-    pass over 16 states at once, and splits the seeds into contiguous
+    The kernel seeds every search the same way: each block of up to 16
+    seeds with one MT19937 mixing pass over the block's states at once, a
+    single solve as a block of one.  It splits the seeds into contiguous
     ranges on up to lib.threads threads, at least THREAD_SEEDS seeds each,
-    so a single solve and a short batch run on the calling thread.  Every
-    search makes the draws it makes alone: the results do not depend on
-    the batch, the block or the thread count."""
+    so a single solve and a short batch run on the calling thread; a call
+    that records the cloud runs on the calling thread whatever its size.
+    Every search makes the draws it makes alone: the results do not depend
+    on the batch, the block or the thread count."""
     seeds = array("Q", mixed_seeds)
     rows = array("q", bytes(48 * len(seeds)))
     assignments = ctypes.create_string_buffer(n_vars * len(seeds))

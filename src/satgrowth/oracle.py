@@ -46,7 +46,8 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import dpll, native
-from .cnf import F, T, U, Instance, brute_force_satisfiable, classify
+from .cnf import (F, T, U, Instance, brute_force_satisfiable, check_t_max,
+                  classify)
 
 # one build plus (T*, B*) of an unsat GUC instance at alpha0=7 peaks at about
 # 160 MB of resident memory at N=15 (1.2M states, 3.2M entries)
@@ -246,10 +247,9 @@ def branch_function_sequence(instance: Instance, heuristic: str, t_max: int,
 
     For a satisfiable instance B(T) counts contradiction leaves only and the
     stationarity guarantee does not apply (use stationary_tree_size for the
-    guarded version).
+    guarded version).  Raises ValueError unless t_max is an integer >= 0.
     """
-    if t_max < 0:
-        raise ValueError("T must be >= 0")
+    check_t_max(t_max)
     op = operator or build_evolution_operator(instance, heuristic)
     offsets, succ, keys, violating = op.offsets, op.succ, op.keys, op.violating
     # masses at depth t are integers over scale**t, where scale is the lcm of

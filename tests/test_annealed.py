@@ -302,8 +302,8 @@ def test_chain_rejects_bad_inputs():
     for bad in (dict(N=5), dict(N=0), dict(N=-3), dict(alpha0=0.0),
                 dict(alpha0=-1.0), dict(alpha0=math.nan), dict(alpha0=math.inf),
                 dict(pruning_threshold=1.0), dict(pruning_threshold=2.0),
-                dict(pruning_threshold=-1e-12), dict(tail=0.0), dict(tail=1.0),
-                dict(t_max=-1), dict(t_max=2.5)):
+                dict(pruning_threshold=-1e-12), dict(t_max=-1), dict(t_max=2.5),
+                dict(t_max=True)):
         with pytest.raises(ValueError):
             next(annealed.evolve_branch_counts(**{**good, **bad}))
     with pytest.raises(ValueError):

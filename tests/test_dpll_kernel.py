@@ -38,12 +38,25 @@ def _assert_same(solver, seeds, reference, record_cloud=True):
 
 
 def test_random_stream_matches_python(kernel):
-    # one- and two-word seeds, across several regenerations of the state
-    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 - 1, dpll._mix_seed(7)):
-        got = (ctypes.c_double * 2000)()
-        kernel.sg_random(seed, len(got), got)
-        rng = random.Random(seed)
-        assert list(got) == [rng.random() for _ in got], seed
+    # blocks of 1, 2, 15 and 16 lanes seeded at once, each lane across
+    # several regenerations of its state.  The key-length edge seeds sit
+    # between mixed ones, so one- and two-word keys share blocks at every
+    # width.
+    edges = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    pool = [dpll._mix_seed(s) for s in range(11)]
+    for k, seed in enumerate(edges):
+        pool.insert(2 * k + 1, seed)
+    draws = 2000
+    for width in (1, 2, 15, 16):
+        for lo in range(0, len(pool), width):
+            seeds = pool[lo:lo + width]
+            got = (ctypes.c_double * (len(seeds) * draws))()
+            kernel.sg_random((ctypes.c_uint64 * len(seeds))(*seeds), len(seeds),
+                             draws, got)
+            for lane, seed in enumerate(seeds):
+                rng = random.Random(seed)
+                assert got[lane * draws:(lane + 1) * draws] == \
+                    [rng.random() for _ in range(draws)], (width, lane, seed)
 
 
 def _generated(reference, *args):

@@ -32,6 +32,13 @@ def test_config_validation():
         EnsembleConfig(4.3, [20], 5, heuristic="nope")
     with pytest.raises(ValueError):
         EnsembleConfig(4.3, [20], 5, parallelism=0)
+    # no N at all, and N too small for a 3-clause, fail before any pool
+    with pytest.raises(ValueError, match="at least one N"):
+        EnsembleConfig(4.3, [], 5)
+    for n_values in ([2], [2, 20], [-1, 20], [0]):
+        with pytest.raises(ValueError, match="every N must be >= 3"):
+            EnsembleConfig(4.3, n_values, 5)
+    assert EnsembleConfig(4.3, [3], 5).n_values == (3,)
     for alpha0 in (0.0, -3.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="alpha0 must be positive"):
             EnsembleConfig(alpha0, [20], 5)

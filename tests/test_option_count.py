@@ -10,7 +10,7 @@ from pathlib import Path
 
 import satgrowth
 
-OPTION_CAP = 55
+OPTION_CAP = 53
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

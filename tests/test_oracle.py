@@ -127,6 +127,14 @@ def test_branch_function_golden_sequences():
     assert branch_function_sequence(I3, "GUC", 2)[-1] == Fraction(12, 5)
 
 
+def test_branch_function_rejects_bad_depths():
+    # a depth that is not an int >= 0 is refused before the pass runs: 2.5
+    # would fail only after it, and True would be taken for 1
+    for t_max in (-1, 2.5, True, False, "3", None):
+        with pytest.raises(ValueError, match="t_max"):
+            branch_function_sequence(I2, "GUC", t_max)
+
+
 def dense_branch_sequence(op, t_max):
     """B(0..t_max) = <Sigma| H^T |U> by explicit products of the dense
     Fraction matrix H, built from op.columns over the reachable states, with

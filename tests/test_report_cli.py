@@ -180,6 +180,14 @@ def test_cli_error_exit(tmp_path, capsys):
         assert "error:" in captured.err and captured.out == "", t
     for path in (cloud, surface, branch):
         assert not os.path.exists(path), path
+    # an ensemble needs at least one N, each large enough for a 3-clause
+    for n_values, message in (("", "at least one N"), ("2", "every N must be >= 3"),
+                              ("2,10", "every N must be >= 3")):
+        argv = ["ensemble", "--alpha0", "10", "--n-values", n_values]
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and message in captured.err, argv
+        assert "Traceback" not in captured.err and captured.out == "", argv
     # growth PDE inputs: --alpha0 missing or not positive without --g, G
     # points off the phase diagram (p outside [0, 1], alpha <= 0, t
     # outside [0, 1)) for pde and for the Table 1 upper-sat row, and
