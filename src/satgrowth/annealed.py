@@ -47,9 +47,10 @@ One binomial pmf (_binom_pmf) gives the passes' weight tables
 multiply-adds run in the C kernel
 annealed_kernel.c, which native.load() builds with the other kernels and
 binds (as its `passes`) to the AVX2 entry points when the CPU has AVX2, else
-to the baseline ones.  A pass splits its destination rows across
-native.thread_count threads, at least THREAD_CELLS destination cells each
-and up to the library's `threads` (native.usable_cpus()), each cell
+to the baseline ones.  Each kernel call computes one range of a pass's
+destination rows; native.fan_out cuts the rows into ranges and runs them
+on native.thread_count threads, at least THREAD_CELLS destination cells
+each and up to the library's `threads` (native.usable_cpus()), each cell
 computed by one of them.  When the kernel
 cannot be built the passes run in the numpy loops of
 _thin_pass/_convert_pass, which are the readable reference.  Every backend and thread count adds each
@@ -71,8 +72,9 @@ from .cnf import ClauseVector, check_alpha0, check_t_max
 _LGF_CACHE = np.zeros(1)
 
 # destination cells a compiled pass gives each of its threads at least:
-# below that, starting a thread costs more than the thread saves
-THREAD_CELLS = 1 << 14
+# below that, starting, joining and waiting out a thread costs more than
+# the thread saves (a 2-thread thinning pass breaks even near 48k cells)
+THREAD_CELLS = 1 << 15
 
 # the relative upper-tail mass at which the chain truncates a step's
 # binomial factors
@@ -206,10 +208,11 @@ def _thin_pass(arr: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
         return np.moveaxis(out, -1, axis)
     src = np.ascontiguousarray(arr, dtype=float)
     out = np.zeros(src.shape)
-    lib.passes.thin(src.ctypes.data, out.ctypes.data, math.prod(src.shape[:axis]),
-                    src.shape[axis], math.prod(src.shape[axis + 1:]),
-                    weights.ctypes.data, len(weights),
-                    native.thread_count(lib, out.size, THREAD_CELLS))
+    rows = functools.partial(lib.passes.thin, src.ctypes.data, out.ctypes.data,
+                             src.shape[axis], math.prod(src.shape[axis + 1:]),
+                             weights.ctypes.data, len(weights))
+    native.fan_out(rows, math.prod(src.shape[:axis + 1]),
+                   native.thread_count(lib, out.size, THREAD_CELLS), 1)
     return out
 
 
@@ -235,12 +238,12 @@ def _convert_pass(arr: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray
         return np.moveaxis(out, (1, 2), (axis - 1, axis))
     src = np.ascontiguousarray(arr, dtype=float)
     out = np.zeros(shape)
-    lib.passes.convert(src.ctypes.data, out.ctypes.data,
-                       math.prod(src.shape[:axis - 1]), src.shape[axis - 1],
-                       shape[axis - 1], src.shape[axis],
-                       math.prod(src.shape[axis + 1:]), weights.ctypes.data,
-                       len(weights),
-                       native.thread_count(lib, out.size, THREAD_CELLS))
+    rows = functools.partial(lib.passes.convert, src.ctypes.data, out.ctypes.data,
+                             src.shape[axis - 1], shape[axis - 1], src.shape[axis],
+                             math.prod(src.shape[axis + 1:]), weights.ctypes.data,
+                             len(weights))
+    native.fan_out(rows, math.prod(shape[:axis]),
+                   native.thread_count(lib, out.size, THREAD_CELLS), 1)
     return out
 
 

@@ -15,24 +15,19 @@
    sums in registers across j, and the innermost loop runs over contiguous
    memory.
 
-   Each call splits its destination rows into nthreads contiguous ranges,
-   one per thread: the (o, r) rows of a thinning pass (single cells when
-   inner == 1), so that a window with one outer row still divides, and the
-   (o, y) rows of a conversion pass.  sg_fan_out (dpll_kernel.c) runs the
-   ranges: the first on the calling thread, the others on threads joined
-   before the call returns, so no thread outlives it.  A thread only reads
-   the source and the table and writes the cells of its own rows, each cell
-   by exactly one thread with the same terms in the same order, so the bits
-   do not depend on nthreads. */
+   Each call computes one contiguous range lo .. hi - 1 of its destination
+   rows: the (o, r) rows of a thinning pass (single cells when inner == 1),
+   so that a window with one outer row still divides, and the (o, y) rows
+   of a conversion pass.  native.fan_out cuts a pass into ranges and runs
+   one call per range, the first on the calling thread and the others on
+   Python threads; the kernel starts no thread.  A call only reads the
+   source and the table and writes the cells of its own rows, each cell by
+   exactly one call with the same terms in the same order, so the bits do
+   not depend on how the rows are cut. */
 
-#include <stddef.h>
 #include <stdint.h>
 
 #define BLOCK 8
-
-/* Defined in dpll_kernel.c. */
-extern const int32_t sg_max_threads;
-void sg_fan_out(void *(*run)(void *), void *tasks, size_t size, int32_t n);
 
 /* Cells r_lo .. r_hi - 1 of one destination row of len cells spaced `inner`
    apart (inner == 1) or of len rows of inner cells each (inner > 1):
@@ -101,84 +96,6 @@ dest_row(double *restrict d, const double *restrict s, int64_t j_step,
     }
 }
 
-/* The arguments of one pass; recv and recv_out are unused by thinning. */
-struct pass {
-    const double *src;
-    double *dst;
-    int64_t outer, recv, recv_out, len, inner;
-    const double *w;
-    int64_t nw;
-};
-
-/* Thinning: src and dst are (outer, len, inner); dst[o, i - j, x] =
-   sum over j of src[o, i, x] * w[j, i].  Computes the flattened (o, r)
-   destination rows lo .. hi - 1. */
-static inline __attribute__((always_inline)) void
-thin(const struct pass *p, int64_t lo, int64_t hi)
-{
-    int64_t len = p->len, slab = len * p->inner;
-    for (int64_t o = lo / len; o * len < hi; o++) {
-        int64_t r_lo = lo > o * len ? lo - o * len : 0;
-        int64_t r_hi = hi < (o + 1) * len ? hi - o * len : len;
-        dest_row(p->dst + o * slab, p->src + o * slab, 0, len, p->inner, p->w,
-                 0, p->nw - 1, r_lo, r_hi);
-    }
-}
-
-/* Conversion: src is (outer, recv, len, inner), dst (outer, recv_out, len,
-   inner) with recv_out >= recv + nw - 1; dst[o, y + k, i - k, x] = sum over
-   k of src[o, y, i, x] * w[k, i].  Computes the flattened (o, y)
-   destination rows lo .. hi - 1. */
-static inline __attribute__((always_inline)) void
-convert(const struct pass *p, int64_t lo, int64_t hi)
-{
-    int64_t slab = p->len * p->inner;
-    for (int64_t row = lo; row < hi; row++) {
-        int64_t o = row / p->recv_out, y = row % p->recv_out;
-        int64_t k_lo = y - p->recv + 1 > 0 ? y - p->recv + 1 : 0;
-        int64_t k_hi = y < p->nw - 1 ? y : p->nw - 1;
-        if (k_lo > k_hi)
-            continue;
-        dest_row(p->dst + row * slab, p->src + (o * p->recv + y - k_lo) * slab,
-                 -slab, p->len, p->inner, p->w, k_lo, k_hi, 0, p->len);
-    }
-}
-
-typedef void rows_fn(const struct pass *, int64_t, int64_t);
-
-struct range {
-    rows_fn *rows;
-    const struct pass *p;
-    int64_t lo, hi;
-};
-
-static void *run_range(void *arg)
-{
-    const struct range *r = arg;
-    r->rows(r->p, r->lo, r->hi);
-    return NULL;
-}
-
-/* Runs rows(p, lo, hi) over n_rows rows cut into nthreads contiguous
-   ranges (at most one per row), and returns when all of them are done. */
-static void split(rows_fn *rows, const struct pass *p, int64_t n_rows,
-                  int64_t nthreads)
-{
-    if (n_rows <= 0)
-        return;
-    if (nthreads > n_rows)
-        nthreads = n_rows;
-    if (nthreads > sg_max_threads)
-        nthreads = sg_max_threads;
-    if (nthreads < 1)
-        nthreads = 1;
-    struct range ranges[nthreads];
-    for (int64_t t = 0; t < nthreads; t++)
-        ranges[t] = (struct range){rows, p, n_rows * t / nthreads,
-                                   n_rows * (t + 1) / nthreads};
-    sg_fan_out(run_range, ranges, sizeof *ranges, (int32_t)nthreads);
-}
-
 /* The exported entry points: the same loops compiled for the baseline
    instruction set and, on x86-64, for AVX2.  The AVX2 pair only widens the
    vectors that carry a block of destination cells; the lanes run across
@@ -187,59 +104,63 @@ static void split(rows_fn *rows, const struct pass *p, int64_t n_rows,
    fused multiply-add, and -ffp-contract=off forbids contracting anyway).
    Both pairs give the same bits.  native.py binds the AVX2 pair when
    sg_has_avx2() says the CPU runs it. */
-#define THIN_ARGS const double *src, double *dst, int64_t outer, int64_t len, \
-    int64_t inner, const double *w, int64_t nw, int64_t nthreads
-#define CONVERT_ARGS const double *src, double *dst, int64_t outer, \
-    int64_t recv, int64_t recv_out, int64_t len, int64_t inner, \
-    const double *w, int64_t nw, int64_t nthreads
-#define THIN_PASS {src, dst, outer, 0, 0, len, inner, w, nw}
-#define CONVERT_PASS {src, dst, outer, recv, recv_out, len, inner, w, nw}
+#define THIN_ARGS const double *src, double *dst, int64_t len, int64_t inner, \
+    const double *w, int64_t nw, int64_t lo, int64_t hi
+#define CONVERT_ARGS const double *src, double *dst, int64_t recv, \
+    int64_t recv_out, int64_t len, int64_t inner, const double *w, \
+    int64_t nw, int64_t lo, int64_t hi
 
-static void thin_base(const struct pass *p, int64_t lo, int64_t hi)
+/* Thinning: src and dst are (outer, len, inner); dst[o, i - j, x] =
+   sum over j of src[o, i, x] * w[j, i].  Computes the flattened (o, r)
+   destination rows lo .. hi - 1, lo < hi. */
+static inline __attribute__((always_inline)) void thin(THIN_ARGS)
 {
-    thin(p, lo, hi);
+    int64_t slab = len * inner;
+    for (int64_t o = lo / len; o * len < hi; o++) {
+        int64_t r_lo = lo > o * len ? lo - o * len : 0;
+        int64_t r_hi = hi < (o + 1) * len ? hi - o * len : len;
+        dest_row(dst + o * slab, src + o * slab, 0, len, inner, w, 0, nw - 1,
+                 r_lo, r_hi);
+    }
 }
 
-static void convert_base(const struct pass *p, int64_t lo, int64_t hi)
+/* Conversion: src is (outer, recv, len, inner), dst (outer, recv_out, len,
+   inner) with recv_out >= recv + nw - 1; dst[o, y + k, i - k, x] = sum over
+   k of src[o, y, i, x] * w[k, i].  Computes the flattened (o, y)
+   destination rows lo .. hi - 1. */
+static inline __attribute__((always_inline)) void convert(CONVERT_ARGS)
 {
-    convert(p, lo, hi);
+    int64_t slab = len * inner;
+    for (int64_t row = lo; row < hi; row++) {
+        int64_t o = row / recv_out, y = row % recv_out;
+        int64_t k_lo = y - recv + 1 > 0 ? y - recv + 1 : 0;
+        int64_t k_hi = y < nw - 1 ? y : nw - 1;
+        if (k_lo > k_hi)
+            continue;
+        dest_row(dst + row * slab, src + (o * recv + y - k_lo) * slab, -slab,
+                 len, inner, w, k_lo, k_hi, 0, len);
+    }
 }
 
 void sg_thin(THIN_ARGS)
 {
-    struct pass p = THIN_PASS;
-    split(thin_base, &p, outer * len, nthreads);
+    thin(src, dst, len, inner, w, nw, lo, hi);
 }
 
 void sg_convert(CONVERT_ARGS)
 {
-    struct pass p = CONVERT_PASS;
-    split(convert_base, &p, outer * recv_out, nthreads);
+    convert(src, dst, recv, recv_out, len, inner, w, nw, lo, hi);
 }
 
 #if defined(__x86_64__)
-__attribute__((target("avx2"))) static void
-thin_avx2(const struct pass *p, int64_t lo, int64_t hi)
+__attribute__((target("avx2"))) void sg_thin_avx2(THIN_ARGS)
 {
-    thin(p, lo, hi);
+    thin(src, dst, len, inner, w, nw, lo, hi);
 }
 
-__attribute__((target("avx2"))) static void
-convert_avx2(const struct pass *p, int64_t lo, int64_t hi)
+__attribute__((target("avx2"))) void sg_convert_avx2(CONVERT_ARGS)
 {
-    convert(p, lo, hi);
-}
-
-void sg_thin_avx2(THIN_ARGS)
-{
-    struct pass p = THIN_PASS;
-    split(thin_avx2, &p, outer * len, nthreads);
-}
-
-void sg_convert_avx2(CONVERT_ARGS)
-{
-    struct pass p = CONVERT_PASS;
-    split(convert_avx2, &p, outer * recv_out, nthreads);
+    convert(src, dst, recv, recv_out, len, inner, w, nw, lo, hi);
 }
 
 int sg_has_avx2(void)

@@ -22,10 +22,11 @@ one search per seed: `solve` calls it with one seed, and
 `DpllSolver.leaf_counts` with LEAF_BATCH seeds at a time, reading only the
 b_leaves of each search's row.  Every search is seeded alike: each block of
 up to 16 seeds takes one MT19937 mixing pass over its states in lockstep,
-and a single solve is a block of one.  A batch splits its seeds into
-contiguous ranges, one per thread, on up to the library's `threads`
-(`native.usable_cpus()`); a single solve, a short batch and any call that
-records the cloud run on the calling thread.  Each search makes the same
+and a single solve is a block of one.  `native.search` cuts a batch into
+contiguous seed ranges, one kernel call per range, and `native.fan_out`
+runs them on up to the library's `threads` (`native.usable_cpus()`); a
+single solve, a short batch and any call that records the cloud are one
+range, on the calling thread.  Each search makes the same
 draws on every path, so rows, leaf counts and Monte Carlo means do not
 depend on the batch or the thread count.  The Python loop below is the
 reference: it runs when the kernel cannot be built here, and builds its

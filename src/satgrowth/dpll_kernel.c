@@ -21,21 +21,20 @@
  * integer (assigned, C2, C3) triples; Python forms the floats.  Every sat
  * assignment is checked against every clause before it leaves.
  *
- * A batch is cheaper per seed than a single solve in two ways, neither of
- * which changes a draw.  init_by_array is a serial chain of 1,247 dependent
- * multiply steps, so sg_search seeds every block of up to LANES seeds, a
- * single solve as a block of one, with one mixing pass over the block's
- * states at once (mt_seed_lanes), whose chains overlap.  And sg_search
- * cuts its seeds into contiguous ranges, one per thread, each with its own
- * solver state, and joins the threads before it returns; a call that
- * records the cloud runs on one thread and writes it in seed order.
+ * A batch is cheaper per seed than a single solve, without changing a
+ * draw: init_by_array is a serial chain of 1,247 dependent multiply steps,
+ * so sg_search seeds every block of up to LANES seeds, a single solve as a
+ * block of one, with one mixing pass over the block's states at once
+ * (mt_seed_lanes), whose chains overlap.
  *
  * Literals are packed as 2 * variable + negated.  The kernel allocates all
  * of its state per call and keeps nothing between calls, so separate calls
- * may run in parallel.
+ * may run in parallel: native.search cuts a batch into seed ranges at
+ * multiples of sg_lanes, and native.fan_out runs one sg_search call per
+ * range, the first on the calling thread and the others on Python threads.
+ * The kernel starts no thread.
  */
 
-#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -108,8 +107,10 @@ static double mt_random(mt_state *r)
 }
 
 /* The most seeds that mt_seed_lanes mixes at once: the block that
-   sg_search seeds, and so the unit of its thread ranges. */
+   sg_search seeds, exported as sg_lanes, the unit of native.search's seed
+   ranges. */
 #define LANES 16
+const int32_t sg_lanes = LANES;
 
 /* random.Random(seeds[l]) for the count (1 <= count <= LANES) seeds of a
    block at once, each below 2^64: leaves the state of seed l in lane l of
@@ -549,76 +550,6 @@ static int search(solver *s, frame *frames, int heuristic, int64_t *out,
     return SG_OK;
 }
 
-/* One sg_search call: the instance, and where its searches write. */
-typedef struct {
-    int32_t n, m;
-    const int32_t *lits, *start;
-    int heuristic;
-    const uint64_t *seeds;
-    int64_t *out;
-    uint8_t *assignments;
-    cloud_buf *cloud;   /* NULL, or the one buffer of a one-thread call */
-} batch;
-
-/* Seeds lo .. hi - 1 of a batch, run on one thread with its own solver
-   state; rc is 0 or the range's first negative SG_ code, at which the
-   range stops. */
-typedef struct {
-    const batch *b;
-    int32_t lo, hi;
-    int rc;
-} range;
-
-/* Each block of LANES seeds from lo on, and the shorter tail, is seeded at
-   once. */
-static void *run_range(void *arg)
-{
-    range *r = arg;
-    const batch *b = r->b;
-    solver s;
-    uint32_t lanes[MT_N * LANES];
-    frame *frames = setup(&s, b->n, b->m, b->lits, b->start, b->heuristic);
-    r->rc = frames ? SG_OK : SG_NOMEM;
-    for (int32_t i = r->lo; r->rc == SG_OK && i < r->hi; i++) {
-        int32_t lane = (i - r->lo) % LANES, first = i - lane;
-        int block = r->hi - first < LANES ? r->hi - first : LANES;
-        if (lane == 0)
-            mt_seed_lanes(block, (void *)lanes, &s.rng0, b->seeds + i);
-        reset(&s);
-        mt_lane(&s.rng, block, (void *)lanes, lane);
-        int64_t *row = b->out + 6 * (int64_t)i;
-        r->rc = search(&s, frames, b->heuristic, row, b->cloud);
-        if (r->rc == SG_OK && row[0])
-            memcpy(b->assignments + (size_t)b->n * i, s.values, (size_t)b->n);
-    }
-    free(s.occ_start);
-    return NULL;
-}
-
-/* The most tasks, and so threads, of one sg_fan_out call. */
-const int32_t sg_max_threads = 256;
-
-/* The library's one thread lifecycle, which annealed_kernel.c uses too:
-   runs run(task) on each of the n (1 <= n <= sg_max_threads) tasks of
-   `size` bytes at `tasks`, task 0 on the caller and the others on threads
-   joined before the call returns, so no thread outlives it.  A task whose
-   thread cannot be started runs on the caller after the others. */
-void sg_fan_out(void *(*run)(void *), void *tasks, size_t size, int32_t n)
-{
-    char *task = tasks;
-    pthread_t tid[n];
-    int started[n];
-    for (int32_t t = 1; t < n; t++)
-        started[t] = pthread_create(&tid[t], NULL, run, task + t * size) == 0;
-    run(task);
-    for (int32_t t = 1; t < n; t++) {
-        if (started[t])
-            pthread_join(tid[t], NULL);
-        else
-            run(task + t * size);
-    }
-}
-
 /* One search per seed, over one set of occurrence lists.
  *
  * n, m:         variables and clauses; clause c holds the packed literals
@@ -631,49 +562,41 @@ void sg_fan_out(void *(*run)(void *), void *tasks, size_t size, int32_t n)
  * cloud:        NULL, or set to a buffer the caller releases with sg_free:
  *               every search's q_splits (assigned, C2, C3) triples, back
  *               to back in seed order
- * nthreads:     the most threads to run the searches on
  *
- * The seeds are cut into contiguous ranges, one per thread, at multiples
- * of LANES, so that each range seeds whole blocks and only the last one a
- * shorter tail; there are at most count / LANES ranges, and at least one.
- * A call that records the cloud runs one range, so its searches append to
- * one buffer in seed order.  sg_fan_out runs the ranges, the first on the
- * caller.  Every search writes only its own row and assignment bytes, with
- * the draws it makes alone, so nothing depends on the thread count.
+ * Each block of LANES seeds, and the shorter tail, is seeded at once.
+ * Every search writes only its own row and assignment bytes, with the
+ * draws it makes alone, so nothing depends on where a range starts.
  *
- * Returns 0, or the negative SG_ code of the first failing range in seed
- * order (the code of the first failing seed), which leaves *cloud NULL. */
+ * Returns 0, or the negative SG_ code of the first failing seed, at which
+ * the call stops and leaves *cloud NULL. */
 int sg_search(int32_t n, int32_t m, const int32_t *lits, const int32_t *start,
               int32_t heuristic, int32_t count, const uint64_t *seeds,
-              int64_t *out, uint8_t *assignments, int32_t **cloud,
-              int32_t nthreads)
+              int64_t *out, uint8_t *assignments, int32_t **cloud)
 {
     cloud_buf points = {NULL, 0, 0};
-    batch b = {n, m, lits, start, heuristic, seeds, out, assignments,
-               cloud ? &points : NULL};
-    int64_t blocks = count / LANES;
-    if (nthreads > blocks)
-        nthreads = (int32_t)blocks;
-    if (nthreads > sg_max_threads)
-        nthreads = sg_max_threads;
-    if (nthreads < 1 || cloud)
-        nthreads = 1;
-    range ranges[nthreads];
-    for (int32_t t = 0; t < nthreads; t++)
-        ranges[t] = (range){&b, (int32_t)(LANES * (blocks * t / nthreads)),
-                            t + 1 < nthreads
-                                ? (int32_t)(LANES * (blocks * (t + 1) / nthreads))
-                                : count,
-                            SG_OK};
-    sg_fan_out(run_range, ranges, sizeof *ranges, nthreads);
-
-    int rc = SG_OK;
-    for (int32_t t = 0; t < nthreads && rc == SG_OK; t++)
-        rc = ranges[t].rc;
-    if (rc != SG_OK)
+    solver s;
+    uint32_t lanes[MT_N * LANES];
+    frame *frames = setup(&s, n, m, lits, start, heuristic);
+    int rc = frames ? SG_OK : SG_NOMEM;
+    for (int32_t i = 0; rc == SG_OK && i < count; i++) {
+        int32_t lane = i % LANES, first = i - lane;
+        int block = count - first < LANES ? count - first : LANES;
+        if (lane == 0)
+            mt_seed_lanes(block, (void *)lanes, &s.rng0, seeds + i);
+        reset(&s);
+        mt_lane(&s.rng, block, (void *)lanes, lane);
+        int64_t *row = out + 6 * (int64_t)i;
+        rc = search(&s, frames, heuristic, row, cloud ? &points : NULL);
+        if (rc == SG_OK && row[0])
+            memcpy(assignments + (size_t)n * i, s.values, (size_t)n);
+    }
+    free(s.occ_start);
+    if (rc != SG_OK) {
         free(points.pts);
+        points.pts = NULL;
+    }
     if (cloud)
-        *cloud = rc == SG_OK ? points.pts : NULL;
+        *cloud = points.pts;
     return rc;
 }
 

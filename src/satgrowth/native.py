@@ -21,12 +21,15 @@ fails or the cache is not writable, load() returns None after one warning
 per process that names every reference code path, and each layer runs its
 Python or numpy reference.
 
-usable_cpus() is the one count of the CPUs this process may run on.
-load() binds it once as the library's `threads`, the most threads that a
-search batch (split into contiguous seed ranges) or an annealed pass (split
-into contiguous destination rows) runs on, and it caps run_ensemble's
-thread pool.  thread_count() is the one rule for how many threads a kernel
-call gets.
+This module owns every kernel thread.  The C kernels are serial: each
+entry point computes one contiguous range of its work (a search call the
+seeds it is given, an annealed pass the destination rows lo .. hi - 1), and
+fan_out() cuts a call's work into ranges and runs them on Python threads,
+which ctypes lets run the kernels in parallel, joined before it returns.
+usable_cpus() is the one count of the CPUs this process may run on.  load()
+binds it once as the library's `threads`, the most threads that a search
+batch or an annealed pass runs on, and it caps run_ensemble's thread pool.
+thread_count() is the one rule for how many threads a kernel call gets.
 """
 
 import ctypes
@@ -36,6 +39,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 import warnings
 from array import array
 from pathlib import Path
@@ -43,15 +47,15 @@ from typing import Callable, List, NamedTuple
 
 SOURCES = tuple(Path(__file__).with_name(name) for name in
                 ("dpll_kernel.c", "annealed_kernel.c", "oracle_kernel.c"))
-CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
+CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # what the layers run when load() returns None
 _REFERENCE_PATHS = ("the Python DPLL search, Monte Carlo and instance "
                     "generator loops, the numpy annealed passes and the "
                     "Python closure walk")
 
 HEURISTIC_CODES = {"UC": 0, "GUC": 1, "SC1": 2}
-# seeds a search call gives each of its threads at least: four blocks of
-# the 16 that the kernel seeds at once
+# seeds a search call gives each of its threads at least: four of the
+# blocks that the kernel seeds at once (the library's `lanes`)
 THREAD_SEEDS = 64
 # sg_search return codes
 _ERRORS = {-1: (MemoryError, "DPLL kernel out of memory"),
@@ -71,6 +75,51 @@ def thread_count(lib, work: int, per_thread: int) -> int:
     """Threads for a kernel call over `work` units: at least `per_thread`
     units each, at most lib.threads, and at least one."""
     return max(1, min(lib.threads, work // per_thread))
+
+
+def fan_out(call: Callable, units: int, threads: int, grain: int) -> list:
+    """[call(lo, hi) for each range] over units 0 .. units - 1, cut into
+    max(1, min(threads, units // grain)) contiguous ranges, none when units
+    is 0.  Every cut but the last falls at a multiple of grain.  The first
+    range runs on the calling thread and each other range on a thread of its
+    own; no thread outlives the call, whether it returns or raises.  When
+    ranges raise, the exception of the first of them in range order is
+    re-raised after the joins."""
+    if units <= 0:
+        return []
+    blocks = units // grain
+    count = max(1, min(threads, blocks))
+    if count == 1:
+        return [call(0, units)]
+    cuts = [grain * (blocks * t // count) for t in range(count)] + [units]
+    results = [None] * count
+    errors = [None] * count
+
+    def run(t):
+        try:
+            results[t] = call(cuts[t], cuts[t + 1])
+        except BaseException as exc:  # re-raised once every range is joined
+            errors[t] = exc
+
+    workers = []
+    try:
+        for t in range(1, count):
+            worker = threading.Thread(target=run, args=(t,))
+            worker.start()
+            workers.append(worker)
+        run(0)
+    finally:
+        for worker in workers:
+            worker.join()
+            # CPython marks a thread joined just before its OS thread exits;
+            # where the platform lists the process's threads, wait for the
+            # exit too, so that no thread outlives the call
+            while os.path.exists(f"/proc/self/task/{worker.native_id}"):
+                os.sched_yield()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _compiler():
@@ -124,10 +173,10 @@ def _annealed_passes(lib, avx2: bool) -> AnnealedPasses:
     suffix = "_avx2" if avx2 else ""
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     thin = getattr(lib, "sg_thin" + suffix)
-    thin.argtypes = [ptr, ptr, i64, i64, i64, ptr, i64, i64]
+    thin.argtypes = [ptr, ptr, i64, i64, ptr, i64, i64, i64]
     thin.restype = None
     convert = getattr(lib, "sg_convert" + suffix)
-    convert.argtypes = [ptr, ptr, i64, i64, i64, i64, i64, ptr, i64, i64]
+    convert.argtypes = [ptr, ptr, i64, i64, i64, i64, ptr, i64, i64, i64]
     convert.restype = None
     return AnnealedPasses(thin, convert, avx2)
 
@@ -148,8 +197,9 @@ def load():
     """The compiled library, or None when it cannot be built here.  Every
     sg_* entry point has its argument and return types bound, the library's
     `passes` is the annealed pass pair (AnnealedPasses) that this process
-    runs, and its `threads` is usable_cpus(), the most threads that a
-    search batch or an annealed pass splits its work across."""
+    runs, its `threads` is usable_cpus(), the most threads that a search
+    batch or an annealed pass splits its work across, and its `lanes` is the
+    kernel's seed block, the grain of a search batch's ranges."""
     cc = _compiler()
     if cc is None:
         return _fallback("no C compiler (gcc) found")
@@ -160,8 +210,8 @@ def load():
     except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
         return _fallback(f"cannot build or load the kernels: {exc}")
     i32, i64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
-    lib.sg_search.argtypes = [i32, i32, ptr, ptr, i32, i32, ptr, ptr,
-                              ctypes.c_char_p, ctypes.POINTER(ctypes.POINTER(i32)), i32]
+    lib.sg_search.argtypes = [i32, i32, ptr, ptr, i32, i32, ptr, ptr, ptr,
+                              ctypes.POINTER(ctypes.POINTER(i32))]
     lib.sg_search.restype = ctypes.c_int
     lib.sg_generate.argtypes = [i32, i64, i64, ptr, i32, ptr, ptr]
     lib.sg_generate.restype = None
@@ -177,6 +227,7 @@ def load():
     lib.sg_has_avx2.restype = ctypes.c_int
     lib.passes = _annealed_passes(lib, bool(lib.sg_has_avx2()))
     lib.threads = usable_cpus()
+    lib.lanes = i32.in_dll(lib, "sg_lanes").value
     return lib
 
 
@@ -205,29 +256,40 @@ def search(lib, n_vars: int, lits, start, heuristic: str, mixed_seeds: List[int]
     (assigned, C2, C3) triples in seed order, or nothing without
     record_cloud.
 
-    The kernel seeds every search the same way: each block of up to 16
-    seeds with one MT19937 mixing pass over the block's states at once, a
-    single solve as a block of one.  It splits the seeds into contiguous
-    ranges on up to lib.threads threads, at least THREAD_SEEDS seeds each,
-    so a single solve and a short batch run on the calling thread; a call
-    that records the cloud runs on the calling thread whatever its size.
-    Every search makes the draws it makes alone: the results do not depend
-    on the batch, the block or the thread count."""
+    The kernel seeds every search the same way: each block of up to
+    lib.lanes seeds with one MT19937 mixing pass over the block's states at
+    once, a single solve as a block of one.  fan_out cuts the seeds into
+    contiguous ranges at multiples of lib.lanes, on up to lib.threads
+    threads with at least THREAD_SEEDS seeds each, so a single solve and a
+    short batch run on the calling thread, and makes one sg_search call per
+    range; a call that records the cloud is one range.  The return codes are
+    checked in seed order.  Every search makes the draws it makes alone: the
+    results do not depend on the batch, the block or the thread count."""
     seeds = array("Q", mixed_seeds)
     rows = array("q", bytes(48 * len(seeds)))
     assignments = ctypes.create_string_buffer(n_vars * len(seeds))
-    cloud = ctypes.POINTER(ctypes.c_int32)()
-    _check(lib.sg_search(n_vars, len(start) - 1, lits.buffer_info()[0],
-                         start.buffer_info()[0], HEURISTIC_CODES[heuristic],
-                         len(seeds), seeds.buffer_info()[0], rows.buffer_info()[0],
-                         assignments, ctypes.byref(cloud) if record_cloud else None,
-                         thread_count(lib, len(seeds), THREAD_SEEDS)))
-    triples = []
-    if cloud:
-        flat = cloud[:3 * sum(rows[1::6])]
+    args = (n_vars, len(start) - 1, lits.buffer_info()[0], start.buffer_info()[0],
+            HEURISTIC_CODES[heuristic])
+    seed_at, row_at = seeds.buffer_info()[0], rows.buffer_info()[0]
+    values_at = ctypes.addressof(assignments)
+
+    def run(lo, hi):
+        """The return code and the cloud triples of seeds lo .. hi - 1."""
+        cloud = ctypes.POINTER(ctypes.c_int32)()
+        rc = lib.sg_search(*args, hi - lo, seed_at + 8 * lo, row_at + 48 * lo,
+                           values_at + n_vars * lo,
+                           ctypes.byref(cloud) if record_cloud else None)
+        if not cloud:
+            return rc, []
+        flat = cloud[:3 * sum(rows[6 * lo + 1:6 * hi:6])]
         lib.sg_free(cloud)
-        triples = list(zip(flat[0::3], flat[1::3], flat[2::3]))
-    return rows, assignments.raw, triples
+        return rc, list(zip(flat[0::3], flat[1::3], flat[2::3]))
+
+    threads = 1 if record_cloud else thread_count(lib, len(seeds), THREAD_SEEDS)
+    ranges = fan_out(run, len(seeds), threads, lib.lanes)
+    for rc, _ in ranges:
+        _check(rc)
+    return rows, assignments.raw, [t for _, part in ranges for t in part]
 
 
 def generate(lib, n_vars: int, n_2clauses: int, n_3clauses: int, seed: int):

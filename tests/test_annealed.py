@@ -473,6 +473,27 @@ def test_kernel_passes_match_numpy(entry_pairs, monkeypatch, reference):
     assert narrow > 50 and subnormal > 50, (narrow, subnormal)
 
 
+def test_passes_on_empty_windows(kernel, reference):
+    # a window with an empty axis has no destination rows along some passes
+    # and rows of empty cells along others; every pass returns zeros in the
+    # reference's shape, e.g. (0, 3, 4) or (3, 0 + k, 4)
+    for shape in ((0, 3, 4), (3, 0, 4), (3, 4, 0)):
+        arr = np.ones(shape)
+        for axis in (0, 1, 2):
+            c = shape[axis]
+            weights = (annealed._pass_weights(np.arange(5.0, 5.0 + c), 0.3, 1e-14)
+                       if c else np.zeros((3, 0)))
+            fns = (annealed._thin_pass, annealed._convert_pass) if axis else \
+                (annealed._thin_pass,)
+            for fn in fns:
+                got = fn(arr, weights, axis)
+                with reference():
+                    want = fn(arr, weights, axis)
+                assert got.shape == want.shape and not want.any(), \
+                    (fn.__name__, shape, axis)
+                assert np.array_equal(got, want), (fn.__name__, shape, axis)
+
+
 def test_pass_threads_end_with_the_call(entry_pairs, monkeypatch):
     # a threaded pass joins its threads before it returns, so the process
     # has as many threads after it as before

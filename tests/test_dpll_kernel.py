@@ -215,8 +215,10 @@ def test_search_lanes_and_ranges_match_single_seed_calls(kernel, monkeypatch):
 
 
 def test_search_splits_batches_into_ranges(kernel, monkeypatch):
-    # a batch uses one thread per THREAD_SEEDS seeds, up to the library's
-    # bound count; the other threads end with the call
+    # a batch makes one kernel call per seed range: one range per
+    # THREAD_SEEDS seeds, up to the library's bound count, cut at multiples
+    # of the kernel's seed block; a call that records the cloud is one
+    # range.  The other threads end with the call
     assert kernel.threads == native.usable_cpus()
     tasks = "/proc/self/task"
     inst = generate_random_instance(8, 0, 60, 39300)
@@ -226,15 +228,20 @@ def test_search_splits_batches_into_ranges(kernel, monkeypatch):
     search = kernel.sg_search
 
     def spy(*argv):
-        calls.append(argv[-1])  # the thread count
+        calls.append(argv[5])  # the seed count
         return search(*argv)
     monkeypatch.setattr(kernel, "sg_search", spy)
     monkeypatch.setattr(kernel, "threads", 3)
     before = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
-    for size in (1, native.THREAD_SEEDS - 1, 2 * native.THREAD_SEEDS,
-                 dpll.LEAF_BATCH):
+    ranges = []
+    for size in (1, 63, 128, 1024):
+        calls.clear()
         native.search(*args, seeds[:size], False)
-    assert calls == [1, 1, 2, 3]
+        ranges.append(sorted(calls))
+    assert ranges == [[1], [63], [64, 64], [336, 336, 352]]
+    calls.clear()
+    native.search(*args, seeds[:1024], True)
+    assert calls == [1024]
     if before is not None:
         assert len(os.listdir(tasks)) == before
 

@@ -1,7 +1,11 @@
 """The one compiled library: one build per cache, a key over every source
-and the flags, and one fallback warning for every layer."""
+and the flags, sources that link alone, one fallback warning for every
+layer, and the one way a kernel call is cut into ranges and threads."""
 
+import os
 import subprocess
+import sys
+import threading
 import warnings
 
 import pytest
@@ -50,8 +54,8 @@ def test_each_source_and_the_flags_key_the_library(tmp_path, monkeypatch):
 
 
 def test_sources_compile_without_warnings(tmp_path):
-    # annealed_kernel.c declares sg_fan_out and sg_max_threads by hand;
-    # link-time optimisation warns when that disagrees with dpll_kernel.c
+    # link-time optimisation checks the sources against each other, so a
+    # declaration in one that disagrees with another's definition warns
     cc = native._compiler()
     if cc is None:
         pytest.skip("no C compiler (gcc) on PATH")
@@ -60,6 +64,18 @@ def test_sources_compile_without_warnings(tmp_path):
                           *map(str, native.SOURCES)],
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
+
+
+def test_each_source_links_alone(tmp_path):
+    # no source leans on a symbol that another defines
+    cc = native._compiler()
+    if cc is None:
+        pytest.skip("no C compiler (gcc) on PATH")
+    for source in native.SOURCES:
+        out = subprocess.run([cc, *native.CFLAGS, "-Wl,-z,defs", "-o",
+                              str(tmp_path / "alone.so"), str(source)],
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, (source.name, out.stderr)
 
 
 def test_one_warning_names_every_reference_path(fresh_load):
@@ -74,3 +90,61 @@ def test_one_warning_names_every_reference_path(fresh_load):
         assert part in message, message
     # the warning points at the first caller, the instance generator
     assert caught[0].filename == cnf.__file__
+
+
+def _fan_out_ranges(units, threads, grain):
+    return native.fan_out(lambda lo, hi: (lo, hi), units, threads, grain)
+
+
+def test_fan_out_cuts_ranges_at_the_grain():
+    # each range's result in range order, with up to 7 threads on any core
+    # count and thread switches as often as the interpreter allows
+    assert _fan_out_ranges(0, 3, 16) == []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for units in range(1, 200):
+            for threads in (1, 2, 3, 7):
+                for grain in (1, 2, 16, 64):
+                    ranges = _fan_out_ranges(units, threads, grain)
+                    assert len(ranges) == max(1, min(threads, units // grain))
+                    assert ranges[0][0] == 0 and ranges[-1][1] == units
+                    assert all(lo < hi for lo, hi in ranges)
+                    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+                    assert all(hi % grain == 0 for _, hi in ranges[:-1])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_fan_out_runs_ranges_on_joined_threads():
+    # the first range on the caller, the others on threads of their own,
+    # every one joined by the return or the raise
+    tasks = "/proc/self/task"
+    before = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+    together = threading.Barrier(4)
+
+    def ident(lo, hi):
+        together.wait(timeout=60)  # the four ranges run at once
+        return threading.get_ident()
+
+    idents = native.fan_out(ident, 40, 4, 10)
+    assert idents[0] == threading.get_ident() and len(set(idents)) == 4
+    for failing in (0, 2):
+        done = []
+
+        def call(lo, hi):
+            if lo == 10 * failing:
+                raise ValueError(lo)
+            threading.Event().wait(0.05)
+            done.append(lo)
+            return lo
+
+        with pytest.raises(ValueError, match=str(10 * failing)):
+            native.fan_out(call, 40, 4, 10)
+        assert sorted(done) == [lo for lo in (0, 10, 20, 30) if lo != 10 * failing]
+    if before is not None:
+        assert len(os.listdir(tasks)) == before
+        # the OS threads are gone too, not only marked joined
+        for _ in range(1000):
+            native.fan_out(lambda lo, hi: lo, 40, 4, 10)
+            assert len(os.listdir(tasks)) == before
