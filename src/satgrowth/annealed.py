@@ -45,7 +45,9 @@ conversion plus the split clause), so no move leaves the window.
 One binomial pmf (_binom_pmf) gives the passes' weight tables
 (_pass_weights), always with numpy; a step builds each table once.  The
 multiply-adds run in the C kernel
-annealed_kernel.c, which native.load() builds with the other kernels and
+annealed_kernel.c, only over the cells that a nonzero source cell reaches
+(it writes 0.0 to the others, so the passes allocate with np.empty), which
+native.load() builds with the other kernels and
 binds (as its `passes`) to the AVX2 entry points when the CPU has AVX2, else
 to the baseline ones.  Each kernel call computes one range of a pass's
 destination rows; native.fan_out cuts the rows into ranges and runs them
@@ -207,7 +209,7 @@ def _thin_pass(arr: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
             out[..., :c - j] += src[..., j:] * w[j:]
         return np.moveaxis(out, -1, axis)
     src = np.ascontiguousarray(arr, dtype=float)
-    out = np.zeros(src.shape)
+    out = np.empty(src.shape)  # the kernel writes every cell
     rows = functools.partial(lib.passes.thin, src.ctypes.data, out.ctypes.data,
                              src.shape[axis], math.prod(src.shape[axis + 1:]),
                              weights.ctypes.data, len(weights))
@@ -237,7 +239,7 @@ def _convert_pass(arr: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray
             out[:, k:k + b, :c - k] += src[:, :, k:] * w[k:]
         return np.moveaxis(out, (1, 2), (axis - 1, axis))
     src = np.ascontiguousarray(arr, dtype=float)
-    out = np.zeros(shape)
+    out = np.empty(shape)  # the kernel writes every cell
     rows = functools.partial(lib.passes.convert, src.ctypes.data, out.ctypes.data,
                              src.shape[axis - 1], shape[axis - 1], src.shape[axis],
                              math.prod(src.shape[axis + 1:]), weights.ctypes.data,

@@ -22,12 +22,20 @@ exponent omega_THE is phi(0,0; t_halt)/ln 2, in bits per variable.
 Each formula has one definition: _y1_terms gives Y1 and its derivative,
 _ham_grad gives H and its gradient for GUC and UC, and
 trajectory.to_phase_coords maps densities to (p, alpha).
+
+_Shooter.integrate integrates one characteristic to a target time.  When
+native.load() returns the compiled library, growth_kernel.c runs it for GUC
+and UC: the Dormand-Prince loop of numerics.integrate_ode fused with _rhs
+and _ham_grad, every float and every exception equal to those of
+integrate_ode on _rhs, which stays the reference and the fallback.  The
+Newton shooting, the march and the halt bisection stay in Python.
 """
 
 import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
+from . import native
 from .cnf import check_alpha0
 from .dpll import GUC, UC
 from .numerics import IntegrationError, integrate_ode
@@ -136,11 +144,23 @@ SURFACE_Y_SPAN = 1.2  # legendre_surface launches y(0) in [-span, span]^2
 
 @dataclass
 class Controls:
+    """Tolerances and the marching step of solve_characteristics.  Raises
+    ValueError naming the field unless the tolerances are positive and
+    finite and t_step is None or lies in (0, T_MAX)."""
     rtol: float = 1e-11
     atol: float = 1e-13
     shoot_tol: float = 1e-10
     t_step: Optional[float] = None   # marching step; default scales with 1/alpha0
     halt_tol: float = 1e-7
+
+    def __post_init__(self):
+        for name in ("rtol", "atol", "shoot_tol", "halt_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.t_step is not None and not 0.0 < self.t_step < T_MAX:
+            raise ValueError(f"t_step must be None or lie in (0, {T_MAX}), "
+                             f"got {self.t_step}")
 
 
 @dataclass
@@ -173,11 +193,20 @@ class _Shooter:
         return [-dc2, -dc3, dy2, dy3, H - c2 * dc2 - c3 * dc3]
 
     def integrate(self, y0: Tuple[float, float], t_target: float):
+        """The state (y2, y3, c2, c3, phi) at t_target of the characteristic
+        launched from y0: from the compiled kernel for GUC and UC when
+        native.load() returns it, else from integrate_ode on _rhs, the
+        reference, whose floats and exceptions the kernel reproduces."""
         phi0 = self.q0[0] * y0[0] + self.q0[1] * y0[1]
         u0 = [y0[0], y0[1], self.q0[0], self.q0[1], phi0]
+        max_step = max(t_target / 8.0, 1e-4)
+        lib = native.load()
+        if lib is not None and self.h in (GUC, UC):
+            return native.characteristic(lib, self.h, u0, t_target,
+                                         self.ctl.rtol, self.ctl.atol, max_step)
         ts, us, _ = integrate_ode(self._rhs, 0.0, t_target, u0,
                                   rtol=self.ctl.rtol, atol=self.ctl.atol,
-                                  max_step=max(t_target / 8.0, 1e-4))
+                                  max_step=max_step)
         return us[-1]
 
     def shoot(self, t_target: float, guess: Tuple[float, float]):

@@ -1,22 +1,24 @@
 """Build-on-first-use loader of the compiled kernels.
 
-Three C sources ship with the package and build into one library:
+Four C sources ship with the package and build into one library:
 `dpll_kernel.c`, the DPLL layer's random streams (the search loop, run
 once per seed of a batch through `search()`, and the random instance
 generator, read through `generate()`), `annealed_kernel.c`,
 the annealed chain's shift-and-add passes (bound as the library's
-`passes`), and `oracle_kernel.c`, the exact oracle's closure walk (read
-through `closure()`).  The first time a process calls load(), one gcc call compiles
-all three into a per-user cache directory ($XDG_CACHE_HOME/satgrowth, else
-~/.cache/satgrowth) under a name keyed by a hash of the three sources and
-the compile command; ctypes loads the library and load() binds every entry
-point.  gcc writes a temporary file in the cache directory that is then
-published with os.replace, so processes compiling at the same time never
-load a half-written library.  A build is never removed: each version of the
-sources keeps its own small library, so checkouts of different sources can
-share one cache, and deleting the cache directory clears it.  The annealed
-passes are the AVX2 entry pair when the CPU has AVX2, else the baseline
-pair; both give the same bits.  When no compiler is found, the compile
+`passes`), `oracle_kernel.c`, the exact oracle's closure walk (read
+through `closure()`), and `growth_kernel.c`, the growth PDE's
+characteristics, each integrated to one target time (read through
+`characteristic()`).  The first time a process calls load(), one gcc call
+compiles all four, linked with libm, into a per-user cache directory
+($XDG_CACHE_HOME/satgrowth, else ~/.cache/satgrowth) under a name keyed by
+a hash of every source and the compile command; ctypes loads the library
+and load() binds every entry point.  gcc writes a temporary file in the
+cache directory that is then published with os.replace, so processes
+compiling at the same time never load a half-written library.  A build is
+never removed: each version of the sources keeps its own small library, so
+checkouts of different sources can share one cache, and deleting the cache
+directory clears it.  The annealed passes are the AVX2 entry pair when the
+CPU has AVX2, else the baseline pair; both give the same bits.  When no compiler is found, the compile
 fails or the cache is not writable, load() returns None after one warning
 per process that names every reference code path, and each layer runs its
 Python or numpy reference.
@@ -45,13 +47,20 @@ from array import array
 from pathlib import Path
 from typing import Callable, List, NamedTuple
 
+from .numerics import IntegrationError
+
 SOURCES = tuple(Path(__file__).with_name(name) for name in
-                ("dpll_kernel.c", "annealed_kernel.c", "oracle_kernel.c"))
-CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+                ("dpll_kernel.c", "annealed_kernel.c", "oracle_kernel.c",
+                 "growth_kernel.c"))
+# growth_kernel.c calls libm; -lm comes before the sources on the command
+# line, where a linker that drops unneeded libraries would drop it
+CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-Wl,--no-as-needed",
+          "-lm")
 # what the layers run when load() returns None
 _REFERENCE_PATHS = ("the Python DPLL search, Monte Carlo and instance "
-                    "generator loops, the numpy annealed passes and the "
-                    "Python closure walk")
+                    "generator loops, the numpy annealed passes, the "
+                    "Python closure walk and the Python characteristic "
+                    "integrator")
 
 HEURISTIC_CODES = {"UC": 0, "GUC": 1, "SC1": 2}
 # seeds a search call gives each of its threads at least: four of the
@@ -61,6 +70,12 @@ THREAD_SEEDS = 64
 _ERRORS = {-1: (MemoryError, "DPLL kernel out of memory"),
            -2: (AssertionError, "unit clause without a free literal"),
            -3: (AssertionError, "solver produced a non-satisfying assignment")}
+# sg_characteristic return codes: the exception that integrate_ode raises
+# on _Shooter._rhs (code 5 is its IntegrationError)
+_CHARACTERISTIC_ERRORS = {1: (OverflowError, "math range error"),
+                          2: (ValueError, "math domain error"),
+                          3: (ZeroDivisionError, "float division by zero"),
+                          4: (ValueError, "t must be below 1")}
 
 
 def usable_cpus() -> int:
@@ -223,6 +238,9 @@ def load():
     lib.sg_closure.restype = ctypes.c_int
     lib.sg_closure_free.argtypes = [ctypes.POINTER(_Closure)]
     lib.sg_closure_free.restype = None
+    f64 = ctypes.c_double
+    lib.sg_characteristic.argtypes = [i32, ptr, f64, f64, f64, f64, ptr]
+    lib.sg_characteristic.restype = ctypes.c_int
     lib.sg_has_avx2.argtypes = []
     lib.sg_has_avx2.restype = ctypes.c_int
     lib.passes = _annealed_passes(lib, bool(lib.sg_has_avx2()))
@@ -336,3 +354,23 @@ def closure(lib, n_vars: int, lits, start, heuristic: str):
                 _int64s(out.weight, nnz), out.wbase)
     finally:
         lib.sg_closure_free(ctypes.byref(out))
+
+
+def characteristic(lib, heuristic: str, u0, t1: float, rtol: float,
+                   atol: float, max_step: float) -> List[float]:
+    """The final state of growth._Shooter's characteristic from the state
+    u0 = (y2, y3, c2, c3, phi) at t = 0 to t1, as integrate_ode(_rhs, 0.0,
+    t1, u0, rtol, atol, max_step)[1][-1] gives it, float for float, for GUC
+    and UC.  Raises what that call raises: OverflowError, ValueError or
+    ZeroDivisionError from the first right-hand side (and ZeroDivisionError
+    from any), and IntegrationError with the time and state reached when
+    the step size underflows."""
+    state = (ctypes.c_double * 6)(*u0)
+    rc = lib.sg_characteristic(HEURISTIC_CODES[heuristic], state, t1, rtol,
+                               atol, max_step, state)
+    if rc == 5:
+        raise IntegrationError("step size underflow", t=state[5], y=state[:5])
+    if rc:
+        exc_type, message = _CHARACTERISTIC_ERRORS[rc]
+        raise exc_type(message)
+    return state[:5]

@@ -1,7 +1,9 @@
 """Shared numerical helpers: adaptive Runge-Kutta, root bracketing, Bessel functions.
 
 Everything here is plain float arithmetic on small state vectors; no numpy
-needed in the hot paths.
+needed in the hot paths.  integrate_ode is also the reference of the
+compiled characteristic integrator (growth_kernel.c), which repeats its
+Dormand-Prince loop operation for operation for the growth PDE.
 """
 
 import math

@@ -9,6 +9,7 @@ without it; with gcc present, a library that fails to build fails them.
 import collections
 import contextlib
 import hashlib
+import itertools
 import math
 import os
 import warnings
@@ -492,6 +493,48 @@ def test_passes_on_empty_windows(kernel, reference):
                 assert got.shape == want.shape and not want.any(), \
                     (fn.__name__, shape, axis)
                 assert np.array_equal(got, want), (fn.__name__, shape, axis)
+
+
+def _run_windows():
+    """Windows whose (C1, C2) rows each hold one run of nonzero C3 cells at
+    an offset of its own, as the chain's windows do: some rows hold none,
+    one holds every cell.  Then windows with an empty axis, whose
+    conversion rows get no source row."""
+    rng = np.random.default_rng(7)
+    windows = []
+    for shape in ((4, 9, 37), (3, 23, 12), (1, 5, 70)):
+        arr = np.zeros(shape)
+        for c1, c2 in np.ndindex(shape[:2]):
+            lo, hi = np.sort(rng.integers(0, shape[2] + 1, 2))
+            arr[c1, c2, lo:hi] = rng.random(hi - lo)
+        arr[0, -1] = rng.random(shape[2])
+        windows.append(arr)
+    return windows + [np.ones(shape) for shape in ((0, 3, 4), (3, 0, 4), (3, 4, 0))]
+
+
+def test_kernel_passes_skip_zero_runs(entry_pairs, monkeypatch, reference):
+    # the kernel runs the multiply-adds only where a source run is nonzero
+    # and writes 0.0 to every other cell, so an output that np.empty fills
+    # with NaN comes back as the reference's; the ranges cut rows anywhere
+    monkeypatch.setattr(annealed, "THREAD_CELLS", 1)
+    for arr in _run_windows():
+        for axis, p in itertools.product((0, 1, 2), (0.004, 0.3)):
+            values = np.arange(2, 2 + arr.shape[axis], dtype=float)
+            weights = (annealed._pass_weights(values, p, 1e-14) if len(values)
+                       else np.zeros((3, 0)))
+            fns = (annealed._thin_pass, annealed._convert_pass) if axis else \
+                (annealed._thin_pass,)
+            for fn in fns:
+                with reference():
+                    want = fn(arr, weights, axis)
+                for name, passes in entry_pairs.items():
+                    with monkeypatch.context() as m:
+                        _use(m, name, passes)
+                        m.setattr(np, "empty", lambda shape: np.full(shape, np.nan))
+                        got = fn(arr, weights, axis)
+                    assert np.array_equal(got, want) and \
+                        np.array_equal(np.signbit(got), np.signbit(want)), \
+                        (name, fn.__name__, arr.shape, axis, p)
 
 
 def test_pass_threads_end_with_the_call(entry_pairs, monkeypatch):

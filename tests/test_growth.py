@@ -1,16 +1,19 @@
+import contextlib
 import hashlib
 import itertools
 import math
+import signal
 
 import numpy as np
 import pytest
 
-from satgrowth import growth
+from satgrowth import growth, native
 from satgrowth.growth import (ASYMPTOTIC_CONSTANT, HALT_CONSTANT, Controls,
                               UnsupportedHeuristicError, asymptotic_omega,
                               halt_line_alpha, hamiltonian,
                               legendre_surface, omega_theory, omega_upper_sat,
                               omega_upper_sat_from_g, solve_characteristics)
+from satgrowth.numerics import IntegrationError, integrate_ode
 from satgrowth.trajectory import CriticalLine, GPoint
 
 GOLDEN_LOG = math.log((1 + math.sqrt(5)) / 2)
@@ -246,3 +249,78 @@ def test_growth_golden_values():
     assert _digest(grid) == "0fb4f6da0124a782ac023f271a7b1a95"
     snap = legendre_surface(10.0, "GUC", 0.05, n_fan=11)
     assert _digest(snap.samples) == "719fe4aad54fcd8a96cf159210f25b4f"
+
+
+def test_growth_golden_values_on_reference(reference):
+    # the Python integrator, the fallback without gcc, gives the same bits
+    with reference():
+        test_growth_golden_values()
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError inside the block once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timer")
+@pytest.mark.parametrize("field, value", [
+    ("t_step", 0.0), ("t_step", -0.01), ("t_step", math.nan),
+    ("t_step", growth.T_MAX), ("t_step", math.inf), ("rtol", 0.0),
+    ("atol", -1e-13), ("shoot_tol", math.nan), ("halt_tol", 0.0),
+    ("halt_tol", math.inf)])
+def test_controls_reject_bad_values(field, value):
+    # a zero or negative marching step and a zero halt tolerance used to
+    # march or bisect forever, and a NaN step returned an empty series
+    with _deadline(10), pytest.raises(ValueError, match=field):
+        solve_characteristics(10.0, "GUC", controls=Controls(**{field: value}))
+
+
+def _outcome(call):
+    """(float, the floats call() returns) or (the type of its exception,
+    an IntegrationError's time and state), the floats as hex."""
+    try:
+        return float, [x.hex() for x in call()]
+    except IntegrationError as exc:
+        return IntegrationError, [x.hex() for x in (exc.t, *exc.y)]
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+        return type(exc), None
+
+
+def test_kernel_characteristic_matches_integrate_ode(kernel):
+    # the compiled characteristic gives integrate_ode's floats and
+    # exceptions, from the 3-SAT and an upper-sat start, out to launch
+    # points where exp overflows (y2 or -y3 large) or underflows to a
+    # division by zero (GUC, y2 very negative) and steps underflow; a NaN
+    # launch point underflows, and a NaN target returns the launch state
+    g = GPoint(0.1805, 0.78, 3.10)
+    starts = ((0.0, 4.3), (0.0, 10.0), (0.0, 20.0),
+              (g.alpha_g * (1.0 - g.p_g), g.alpha_g * g.p_g))
+    launches = [(y2, y3) for i, y2 in enumerate((-800.0, -60.0, -1.5, 0.0,
+                                                 0.6, 60.0, 800.0))
+                for y3 in ((-800.0, -0.7, 0.0, 0.4, 50.0, 800.0)[i % 3::3])]
+    launches.append((math.nan, 0.0))
+    seen = set()
+    for heuristic, (c2, c3), ctl in itertools.product(
+            ("GUC", "UC"), starts,
+            (Controls(), Controls(rtol=1e-8, atol=1e-10))):
+        shooter = growth._Shooter(heuristic, c2, c3, ctl)
+        for (y2, y3), t in itertools.product(
+                launches, (0.0, 1e-4, 0.05, 0.3, 0.94, 0.999, math.nan)):
+            got = _outcome(lambda: shooter.integrate((y2, y3), t))
+            u0 = [y2, y3, c2, c3, c2 * y2 + c3 * y3]
+            want = _outcome(lambda: integrate_ode(
+                shooter._rhs, 0.0, t, u0, rtol=ctl.rtol, atol=ctl.atol,
+                max_step=max(t / 8.0, 1e-4))[1][-1])
+            assert got == want, (heuristic, c2, c3, ctl, y2, y3, t)
+            seen.add(want[0])
+    assert seen == {float, OverflowError, ZeroDivisionError, IntegrationError}

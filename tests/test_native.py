@@ -10,21 +10,23 @@ import warnings
 
 import pytest
 
-from satgrowth import annealed, cnf, dpll, native, oracle
+from satgrowth import annealed, cnf, dpll, growth, native, oracle
 from satgrowth.cnf import generate_random_instance
 
 
 def _run_every_layer():
-    """Generate, solve and walk one instance, and run a short chain."""
+    """Generate, solve and walk one instance, run a short chain and
+    integrate one growth characteristic."""
     inst = generate_random_instance(8, 0, 40, 37000)
     dpll.solve(inst, dpll.GUC, 1)
     oracle.build_evolution_operator(inst, dpll.GUC)
     annealed.mass_curve(10.0, 20)
+    growth._Shooter(dpll.GUC, 0.0, 10.0, growth.Controls()).integrate((0.0, 0.0), 0.05)
 
 
 def test_cold_cache_gets_one_library(kernel, fresh_load, tmp_path):
-    # the search, the generator, the closure walk and the annealed passes
-    # all run on the one build that a cold cache gets
+    # the search, the generator, the closure walk, the annealed passes and
+    # the characteristic all run on the one build that a cold cache gets
     fresh_load.setenv("XDG_CACHE_HOME", str(tmp_path))
     lib = native.load()
     _run_every_layer()
@@ -50,7 +52,7 @@ def test_each_source_and_the_flags_key_the_library(tmp_path, monkeypatch):
     assert native._library_path("gcc") == paths[0]
     monkeypatch.setattr(native, "CFLAGS", native.CFLAGS + ("-g",))
     paths.append(native._library_path("gcc"))
-    assert len(set(paths)) == len(paths) == 5, paths
+    assert len(set(paths)) == len(paths) == len(copies) + 2, paths
 
 
 def test_sources_compile_without_warnings(tmp_path):
@@ -86,7 +88,8 @@ def test_one_warning_names_every_reference_path(fresh_load):
     assert len(caught) == 1, [str(w.message) for w in caught]
     message = str(caught[0].message)
     for part in ("Python DPLL search", "numpy annealed passes",
-                 "Python closure walk", "no C compiler"):
+                 "Python closure walk", "Python characteristic integrator",
+                 "no C compiler"):
         assert part in message, message
     # the warning points at the first caller, the instance generator
     assert caught[0].filename == cnf.__file__
